@@ -605,14 +605,13 @@ func runMEBench(b *testing.B, algo string) {
 		done := make(chan struct{})
 		go func() { defer close(done); p.Run(ctx) }()
 		var rerr error
-		api := core.Compat(db)
 		switch algo {
 		case "async":
-			_, rerr = opt.RunAsync(ctx, api, cfg, nil)
+			_, rerr = opt.RunAsync(ctx, db, cfg, nil)
 		case "batch":
-			_, rerr = opt.RunBatchSync(ctx, api, cfg, nil)
+			_, rerr = opt.RunBatchSync(ctx, db, cfg, nil)
 		case "random":
-			_, rerr = opt.RunRandom(ctx, api, cfg, nil)
+			_, rerr = opt.RunRandom(ctx, db, cfg, nil)
 		}
 		cancel()
 		<-done

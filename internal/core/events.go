@@ -260,8 +260,6 @@ func (db *DB) Watch(ctx context.Context, q watch.Query, buf int) (watch.Stream, 
 	return s, nil
 }
 
-var _ watch.Session = (*DB)(nil)
-
 // dbStream adapts a raw hub subscription to the watch.Stream interface,
 // prepending the subscribe-time replay and honoring ctx cancellation.
 type dbStream struct {

@@ -174,11 +174,24 @@ type pendingTask struct {
 	x  []float64
 }
 
-// RunAsync executes the paper's §VI asynchronous workflow against api:
+// popResults is one result poll bounded by wait. When ctx itself ends the
+// poll reports ErrTimeout, so the caller's loop returns ctx.Err() exactly as
+// it does between polls.
+func popResults(ctx context.Context, sess core.Session, ids []int64, max int, wait time.Duration) ([]core.TaskResult, error) {
+	pctx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
+	res, err := sess.PopResults(pctx, ids, max)
+	if err != nil && ctx.Err() != nil {
+		return nil, core.ErrTimeout
+	}
+	return res.Results, err
+}
+
+// RunAsync executes the paper's §VI asynchronous workflow against sess:
 // submit all samples, then for every RetrainEvery completions retrain the
 // surrogate and batch-update the priorities of the incomplete tasks.
 // rec may be nil.
-func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Recorder) (*Report, error) {
+func RunAsync(ctx context.Context, sess core.Session, cfg Config, rec *telemetry.Recorder) (*Report, error) {
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	points := objective.SamplePoints(rng, cfg.Samples, cfg.Dim, cfg.Lo, cfg.Hi)
@@ -198,12 +211,12 @@ func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Reco
 	for i, x := range points {
 		payloads[i] = objective.EncodePayload(objective.Payload{X: x, Delay: cfg.Delay.Sample(rng)})
 	}
-	ids, err := api.SubmitTasks(cfg.ExpID, cfg.WorkType, payloads, nil)
+	sub, err := sess.SubmitBatch(ctx, cfg.ExpID, cfg.WorkType, payloads, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("opt: submit: %w", err)
 	}
 	pending := make(map[int64]*pendingTask, cfg.Samples)
-	for i, id := range ids {
+	for i, id := range sub.IDs {
 		pending[id] = &pendingTask{id: id, x: points[i]}
 	}
 
@@ -221,7 +234,7 @@ func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Reco
 		for id := range pending {
 			remaining = append(remaining, id)
 		}
-		results, err := api.PopResults(remaining, cfg.RetrainEvery, 5*time.Millisecond, cfg.PollTimeout)
+		results, err := popResults(ctx, sess, remaining, cfg.RetrainEvery, cfg.PollTimeout)
 		if err != nil {
 			if err == core.ErrTimeout {
 				continue
@@ -260,7 +273,7 @@ func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Reco
 			}
 			prios, terr := cfg.Trainer.Rank(trainX, trainY, pendingX)
 			if terr == nil && len(prios) == len(pendingIDs) {
-				if _, uerr := api.UpdatePriorities(pendingIDs, prios); uerr != nil {
+				if _, uerr := sess.UpdatePriorities(ctx, pendingIDs, prios); uerr != nil {
 					terr = uerr
 				}
 			}
@@ -287,7 +300,7 @@ func RunAsync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Reco
 // training and choosing the next batch from the remaining samples by
 // predicted value. Stragglers in each batch idle the workers — the cost the
 // asynchronous API avoids (§II-B1d).
-func RunBatchSync(ctx context.Context, api core.API, cfg Config, rec *telemetry.Recorder) (*Report, error) {
+func RunBatchSync(ctx context.Context, sess core.Session, cfg Config, rec *telemetry.Recorder) (*Report, error) {
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	points := objective.SamplePoints(rng, cfg.Samples, cfg.Dim, cfg.Lo, cfg.Hi)
@@ -321,10 +334,11 @@ func RunBatchSync(ctx context.Context, api core.API, cfg Config, rec *telemetry.
 		for i, x := range batch {
 			payloads[i] = objective.EncodePayload(objective.Payload{X: x, Delay: cfg.Delay.Sample(rng)})
 		}
-		ids, err := api.SubmitTasks(cfg.ExpID, cfg.WorkType, payloads, nil)
+		sub, err := sess.SubmitBatch(ctx, cfg.ExpID, cfg.WorkType, payloads, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("opt: submit: %w", err)
 		}
+		ids := sub.IDs
 		idToX := make(map[int64][]float64, n)
 		for i, id := range ids {
 			idToX[id] = batch[i]
@@ -335,7 +349,7 @@ func RunBatchSync(ctx context.Context, api core.API, cfg Config, rec *telemetry.
 			if err := ctx.Err(); err != nil {
 				return report, err
 			}
-			results, err := api.PopResults(outstanding, len(outstanding), 5*time.Millisecond, cfg.PollTimeout)
+			results, err := popResults(ctx, sess, outstanding, len(outstanding), cfg.PollTimeout)
 			if err != nil {
 				if err == core.ErrTimeout {
 					continue
@@ -388,11 +402,11 @@ func RunBatchSync(ctx context.Context, api core.API, cfg Config, rec *telemetry.
 
 // RunRandom executes the control: all samples submitted with uniform
 // priority and no reprioritization.
-func RunRandom(ctx context.Context, api core.API, cfg Config, rec *telemetry.Recorder) (*Report, error) {
+func RunRandom(ctx context.Context, sess core.Session, cfg Config, rec *telemetry.Recorder) (*Report, error) {
 	cfg.Trainer = noopTrainer{}
 	cfg.applyDefaults()
 	cfg.RetrainEvery = cfg.Samples + 1 // never retrain
-	r, err := RunAsync(ctx, api, cfg, rec)
+	r, err := RunAsync(ctx, sess, cfg, rec)
 	if r != nil {
 		r.Algorithm = "random"
 	}

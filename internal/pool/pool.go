@@ -51,11 +51,6 @@ type Config struct {
 	Threshold int
 	// WorkType selects which tasks this pool consumes.
 	WorkType int
-	// QueryDelay is retained for configuration compatibility; sessions poll
-	// on queue notifications, so only QueryTimeout (the per-query deadline)
-	// still shapes the fetch loop.
-	QueryDelay   time.Duration
-	QueryTimeout time.Duration
 	// CoresOf, when set, extracts a task's core requirement from its
 	// payload, supporting the paper's multi-process MPI tasks (§II-B1a,
 	// Swift/T's @par): a k-core task occupies k of the pool's Workers
@@ -95,12 +90,6 @@ func (c *Config) applyDefaults() error {
 	if c.Threshold > c.BatchSize {
 		return fmt.Errorf("pool: Threshold %d exceeds BatchSize %d", c.Threshold, c.BatchSize)
 	}
-	if c.QueryDelay <= 0 {
-		c.QueryDelay = 2 * time.Millisecond
-	}
-	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = 50 * time.Millisecond
-	}
 	return nil
 }
 
@@ -120,8 +109,7 @@ type Pool struct {
 
 // New creates a pool over any Session implementation — the in-process DB, a
 // service client, or a failover-aware cluster client. rec may be nil when
-// telemetry is not needed. Legacy core.API backends can be wrapped with
-// core.Lift.
+// telemetry is not needed.
 func New(api core.Session, cfg Config, exec TaskFunc, rec *telemetry.Recorder) (*Pool, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -242,7 +230,7 @@ func (p *Pool) dispatch(ctx context.Context, taskCh <-chan core.Task, completion
 	}
 }
 
-// Fetch-error backoff bounds: non-timeout query errors (a restarting or
+// Fetch-error backoff bounds: failed queries and subscribes (a restarting or
 // failing-over backend) retry with full jitter — a uniform draw from
 // (0, backoff], doubling to the cap — instead of a hot retry loop.
 const (
@@ -250,11 +238,19 @@ const (
 	fetchBackoffCap  = 250 * time.Millisecond
 )
 
-// sleepJitter sleeps a uniform random fraction of backoff, honoring ctx;
-// false once ctx is done.
-func sleepJitter(ctx context.Context, backoff time.Duration) bool {
-	t := time.NewTimer(time.Duration(rand.Int63n(int64(backoff))) + 1)
+// queryTimeout bounds one deficit query. The pool re-queries only on a push
+// event or a completion, so the bound matters only while a query waits on
+// an empty queue.
+const queryTimeout = 50 * time.Millisecond
+
+// backOff sleeps a uniform random fraction of *backoff, honoring ctx, then
+// doubles *backoff up to fetchBackoffCap; false once ctx is done.
+func backOff(ctx context.Context, backoff *time.Duration) bool {
+	t := time.NewTimer(time.Duration(rand.Int63n(int64(*backoff))) + 1)
 	defer t.Stop()
+	if *backoff *= 2; *backoff > fetchBackoffCap {
+		*backoff = fetchBackoffCap
+	}
 	select {
 	case <-t.C:
 		return true
@@ -263,25 +259,11 @@ func sleepJitter(ctx context.Context, backoff time.Duration) bool {
 	}
 }
 
-// fetch keeps the pool supplied with tasks: the watch-driven loop when the
-// backend supports it (an idle pool parks on push events and issues zero
-// periodic queries), the classic poll loop of §IV-D otherwise.
-func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <-chan struct{}) {
-	if ws, ok := p.api.(watch.Session); ok {
-		if p.fetchWatch(ctx, ws, taskCh, completions) {
-			return
-		}
-		// The backend answered that it cannot watch (a lifted legacy store or
-		// pre-v4 server): fall back to polling for the pool's lifetime.
-	}
-	p.fetchPoll(ctx, taskCh, completions)
-}
-
 // query issues one deficit query and hands the obtained tasks to dispatch.
 // It returns the number of tasks obtained; ok is false only for non-timeout
 // errors (a timeout is the backend's normal "queue empty" answer).
 func (p *Pool) query(ctx context.Context, deficit int, taskCh chan<- core.Task) (n int, ok bool) {
-	qctx, cancel := context.WithTimeout(ctx, p.cfg.QueryTimeout)
+	qctx, cancel := context.WithTimeout(ctx, queryTimeout)
 	res, err := p.api.QueryTasks(qctx, p.cfg.WorkType, deficit, p.cfg.Name)
 	cancel()
 	if err != nil {
@@ -299,64 +281,41 @@ func (p *Pool) query(ctx context.Context, deficit int, taskCh chan<- core.Task) 
 	return len(res.Tasks), true
 }
 
-// fetchPoll implements the enhanced worker-pool query of §IV-D: request up to
-// (BatchSize - owned) tasks whenever that deficit reaches Threshold.
-func (p *Pool) fetchPoll(ctx context.Context, taskCh chan<- core.Task, completions <-chan struct{}) {
-	backoff := fetchBackoffBase
-	for ctx.Err() == nil {
-		deficit := p.cfg.BatchSize - int(p.owned.Load())
-		if deficit < p.cfg.Threshold {
-			// Wait for a completion (or shutdown) before reconsidering.
-			select {
-			case <-completions:
-			case <-ctx.Done():
-				return
-			}
-			continue
+// fetch keeps the pool supplied with tasks, implementing the enhanced
+// worker-pool query of §IV-D — request up to (BatchSize - owned) tasks
+// whenever that deficit reaches Threshold — driven by push events: a
+// subscription to the pool's work type says when the out queue has work, and
+// the pool queries only while it believes tasks are available. An idle pool
+// (no queued work, no deficit) parks in the select below issuing no reads at
+// all, where a poll loop would burn a query per interval regardless of load.
+func (p *Pool) fetch(ctx context.Context, taskCh chan<- core.Task, completions <-chan struct{}) {
+	var st watch.Stream // nil while (re)subscribing
+	defer func() {
+		if st != nil {
+			st.Close()
 		}
-		if _, ok := p.query(ctx, deficit, taskCh); !ok {
-			// Transport or backend failure (not an empty queue): back off with
-			// full jitter before retrying so a restarting or failing-over
-			// backend is not hammered by a hot retry loop.
-			if !sleepJitter(ctx, backoff) {
-				return
-			}
-			if backoff *= 2; backoff > fetchBackoffCap {
-				backoff = fetchBackoffCap
-			}
-			continue
-		}
-		backoff = fetchBackoffBase
-	}
-}
-
-// fetchWatch is the push-driven fetch loop: a subscription to the pool's work
-// type says when the out queue has work, and the pool queries only while it
-// believes tasks are available. An idle pool — no queued work, no deficit —
-// parks in the select below issuing no reads at all, which is the whole point
-// of push-based dispatch (the paper's poll loops, §IV-D, burn a query per
-// QueryDelay per pool regardless of load). Returns false when the backend
-// does not support watch (caller falls back to polling), true when ctx ended.
-func (p *Pool) fetchWatch(ctx context.Context, ws watch.Session, taskCh chan<- core.Task, completions <-chan struct{}) bool {
-	st, err := ws.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType}, 0)
-	if err != nil {
-		return ctx.Err() != nil
-	}
-	defer func() { st.Close() }()
+	}()
 	var last uint64 // newest token seen; resume position for resubscribes
 	avail := true   // until proven empty, the queue may hold tasks
 	backoff := fetchBackoffBase
 	for ctx.Err() == nil {
+		if st == nil {
+			s, err := p.api.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType, Since: last}, 0)
+			if err != nil {
+				if !backOff(ctx, &backoff) {
+					return
+				}
+				continue
+			}
+			st = s
+		}
 		deficit := p.cfg.BatchSize - int(p.owned.Load())
 		if deficit >= p.cfg.Threshold && avail {
 			n, ok := p.query(ctx, deficit, taskCh)
 			switch {
 			case !ok:
-				if !sleepJitter(ctx, backoff) {
-					return true
-				}
-				if backoff *= 2; backoff > fetchBackoffCap {
-					backoff = fetchBackoffCap
+				if !backOff(ctx, &backoff) {
+					return
 				}
 			case n < deficit:
 				// The queue had less than asked for: it is now empty of this
@@ -378,15 +337,9 @@ func (p *Pool) fetchWatch(ctx context.Context, ws watch.Session, taskCh chan<- c
 				// Events may have been missed in between, so assume work.
 				avail = true
 				st.Close()
-				if !sleepJitter(ctx, backoff) {
-					return true
-				}
-				if backoff *= 2; backoff > fetchBackoffCap {
-					backoff = fetchBackoffCap
-				}
-				st, err = ws.Watch(ctx, watch.Query{WorkType: p.cfg.WorkType, Since: last}, 0)
-				if err != nil {
-					return ctx.Err() != nil
+				st = nil
+				if !backOff(ctx, &backoff) {
+					return
 				}
 				continue
 			}
@@ -402,10 +355,9 @@ func (p *Pool) fetchWatch(ctx context.Context, ws watch.Session, taskCh chan<- c
 				}
 			}
 		case <-ctx.Done():
-			return true
+			return
 		}
 	}
-	return true
 }
 
 // execute runs one task to completion and reports its result.

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"osprey/internal/core"
+	"osprey/internal/obs"
+	"osprey/internal/service"
 	"osprey/internal/telemetry"
 )
 
@@ -18,36 +20,52 @@ const (
 	waitMax = 5 * time.Second
 )
 
-// testDB pairs the Session-backed DB (handed to pools) with its v1 compat
-// adapter, so the existing v1-style assertions double as Compat coverage.
-type testDB struct {
-	core.API
-	DB *core.DB
-}
+var bg = context.Background()
 
-func newDB(t *testing.T) testDB {
+func newDB(t *testing.T) *core.DB {
 	t.Helper()
 	db, err := core.NewDB()
 	if err != nil {
 		t.Fatalf("NewDB: %v", err)
 	}
 	t.Cleanup(db.Close)
-	return testDB{API: core.Compat(db), DB: db}
+	return db
 }
 
 func echoExec(payload string) (string, error) { return "r:" + payload, nil }
 
-func submitN(t *testing.T, db testDB, workType, n int) []int64 {
+func submit(t *testing.T, db core.Session, workType int, payload string, opts ...core.SubmitOption) int64 {
+	t.Helper()
+	res, err := db.Submit(bg, "e", workType, payload, opts...)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return res.ID
+}
+
+func submitN(t *testing.T, db core.Session, workType, n int) []int64 {
 	t.Helper()
 	ids := make([]int64, n)
 	for i := range ids {
-		id, err := db.SubmitTask("e", workType, fmt.Sprint(i))
-		if err != nil {
-			t.Fatalf("SubmitTask: %v", err)
-		}
-		ids[i] = id
+		ids[i] = submit(t, db, workType, fmt.Sprint(i))
 	}
 	return ids
+}
+
+// queryResult waits up to waitMax for task id's result.
+func queryResult(db core.Session, id int64) (string, error) {
+	ctx, cancel := context.WithTimeout(bg, waitMax)
+	defer cancel()
+	res, err := db.QueryResult(ctx, id)
+	return res.Result, err
+}
+
+// popResults waits up to waitMax for up to max results of ids.
+func popResults(db core.Session, ids []int64, max int) ([]core.TaskResult, error) {
+	ctx, cancel := context.WithTimeout(bg, waitMax)
+	defer cancel()
+	res, err := db.PopResults(ctx, ids, max)
+	return res.Results, err
 }
 
 // runPool starts the pool and returns a cancel-and-wait function.
@@ -84,17 +102,17 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 func TestPoolExecutesAllTasks(t *testing.T) {
 	db := newDB(t)
 	ids := submitN(t, db, 1, 40)
-	p, err := New(db.DB, Config{Name: "p1", Workers: 4, BatchSize: 8, WorkType: 1}, echoExec, nil)
+	p, err := New(db, Config{Name: "p1", Workers: 4, BatchSize: 8, WorkType: 1}, echoExec, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	stop := runPool(t, p)
 	defer stop()
 
-	results, err := db.PopResults(ids, len(ids), tick, waitMax)
+	results, err := popResults(db, ids, len(ids))
 	total := len(results)
 	for err == nil && total < len(ids) {
-		results, err = db.PopResults(ids, len(ids), tick, waitMax)
+		results, err = popResults(db, ids, len(ids))
 		total += len(results)
 	}
 	if err != nil {
@@ -111,11 +129,11 @@ func TestPoolExecutesAllTasks(t *testing.T) {
 
 func TestPoolResultContents(t *testing.T) {
 	db := newDB(t)
-	id, _ := db.SubmitTask("e", 1, "payload-x")
-	p, _ := New(db.DB, Config{Name: "p", Workers: 1, WorkType: 1}, echoExec, nil)
+	id := submit(t, db, 1, "payload-x")
+	p, _ := New(db, Config{Name: "p", Workers: 1, WorkType: 1}, echoExec, nil)
 	stop := runPool(t, p)
 	defer stop()
-	res, err := db.QueryResult(id, tick, waitMax)
+	res, err := queryResult(db, id)
 	if err != nil || res != "r:payload-x" {
 		t.Fatalf("result = %q, %v", res, err)
 	}
@@ -123,16 +141,16 @@ func TestPoolResultContents(t *testing.T) {
 
 func TestPoolWorkTypeFilter(t *testing.T) {
 	db := newDB(t)
-	simID, _ := db.SubmitTask("e", 1, "sim")
-	gpuID, _ := db.SubmitTask("e", 2, "gpu")
-	p, _ := New(db.DB, Config{Name: "gpu-pool", Workers: 2, WorkType: 2}, echoExec, nil)
+	simID := submit(t, db, 1, "sim")
+	gpuID := submit(t, db, 2, "gpu")
+	p, _ := New(db, Config{Name: "gpu-pool", Workers: 2, WorkType: 2}, echoExec, nil)
 	stop := runPool(t, p)
 	defer stop()
-	if res, err := db.QueryResult(gpuID, tick, waitMax); err != nil || res != "r:gpu" {
+	if res, err := queryResult(db, gpuID); err != nil || res != "r:gpu" {
 		t.Fatalf("gpu result = %q, %v", res, err)
 	}
 	// The type-1 task must remain untouched.
-	st, _ := db.Statuses([]int64{simID})
+	st, _ := db.Statuses(bg, []int64{simID})
 	if st[simID] != core.StatusQueued {
 		t.Fatalf("type-1 task status = %v, want queued", st[simID])
 	}
@@ -147,7 +165,7 @@ func TestPoolOwnershipCap(t *testing.T) {
 		<-block
 		return "ok", nil
 	}
-	p, _ := New(db.DB, Config{Name: "p", Workers: 3, BatchSize: 10, WorkType: 1}, exec, nil)
+	p, _ := New(db, Config{Name: "p", Workers: 3, BatchSize: 10, WorkType: 1}, exec, nil)
 	stop := runPool(t, p)
 	defer stop()
 	// With all workers blocked the pool may own at most BatchSize tasks.
@@ -176,7 +194,7 @@ func TestPoolThresholdDefersFetching(t *testing.T) {
 	}
 	// BatchSize 10, threshold 5: after the initial fill, completing 4 tasks
 	// must not trigger a refetch; completing a 5th must.
-	p, _ := New(db.DB, Config{Name: "p", Workers: 10, BatchSize: 10, Threshold: 5, WorkType: 1}, exec, nil)
+	p, _ := New(db, Config{Name: "p", Workers: 10, BatchSize: 10, Threshold: 5, WorkType: 1}, exec, nil)
 	stop := runPool(t, p)
 	defer stop()
 	waitFor(t, func() bool { return p.Owned() == 10 }, "initial fill did not reach batch size")
@@ -205,8 +223,8 @@ func TestEquitableSharingAcrossPools(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return "ok", nil
 	}
-	p1, _ := New(db.DB, Config{Name: "a", Workers: 8, BatchSize: 8, WorkType: 1}, slowExec, nil)
-	p2, _ := New(db.DB, Config{Name: "b", Workers: 8, BatchSize: 8, WorkType: 1}, slowExec, nil)
+	p1, _ := New(db, Config{Name: "a", Workers: 8, BatchSize: 8, WorkType: 1}, slowExec, nil)
+	p2, _ := New(db, Config{Name: "b", Workers: 8, BatchSize: 8, WorkType: 1}, slowExec, nil)
 	stop1 := runPool(t, p1)
 	defer stop1()
 	stop2 := runPool(t, p2)
@@ -231,7 +249,7 @@ func TestPoolCrashRequeue(t *testing.T) {
 		<-hang
 		return "never", nil
 	}
-	crash, _ := New(db.DB, Config{Name: "crashy", Workers: 4, BatchSize: 8, WorkType: 1}, hungExec, nil)
+	crash, _ := New(db, Config{Name: "crashy", Workers: 4, BatchSize: 8, WorkType: 1}, hungExec, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); crash.Run(ctx) }()
@@ -240,16 +258,16 @@ func TestPoolCrashRequeue(t *testing.T) {
 	close(hang)
 	<-done
 
-	n, err := db.RequeueRunning("crashy")
-	if err != nil || n == 0 {
-		t.Fatalf("RequeueRunning = %d, %v", n, err)
+	rq, err := db.RequeueRunning(bg, "crashy")
+	if err != nil || rq.Count == 0 {
+		t.Fatalf("RequeueRunning = %d, %v", rq.Count, err)
 	}
-	fresh, _ := New(db.DB, Config{Name: "fresh", Workers: 4, BatchSize: 8, WorkType: 1}, echoExec, nil)
+	fresh, _ := New(db, Config{Name: "fresh", Workers: 4, BatchSize: 8, WorkType: 1}, echoExec, nil)
 	stop := runPool(t, fresh)
 	defer stop()
 	got := 0
 	for got < len(ids) {
-		results, err := db.PopResults(ids, len(ids), tick, waitMax)
+		results, err := popResults(db, ids, len(ids))
 		if err != nil {
 			t.Fatalf("PopResults after requeue: %v (have %d)", err, got)
 		}
@@ -259,12 +277,12 @@ func TestPoolCrashRequeue(t *testing.T) {
 
 func TestPoolTaskError(t *testing.T) {
 	db := newDB(t)
-	id, _ := db.SubmitTask("e", 1, "bad")
+	id := submit(t, db, 1, "bad")
 	exec := func(payload string) (string, error) { return "", errors.New("exec exploded") }
-	p, _ := New(db.DB, Config{Name: "p", Workers: 1, WorkType: 1}, exec, nil)
+	p, _ := New(db, Config{Name: "p", Workers: 1, WorkType: 1}, exec, nil)
 	stop := runPool(t, p)
 	defer stop()
-	res, err := db.QueryResult(id, tick, waitMax)
+	res, err := queryResult(db, id)
 	if err != nil {
 		t.Fatalf("QueryResult: %v", err)
 	}
@@ -278,7 +296,7 @@ func TestPoolTelemetry(t *testing.T) {
 	db := newDB(t)
 	submitN(t, db, 1, 10)
 	rec := telemetry.NewRecorder(1)
-	p, _ := New(db.DB, Config{Name: "p", Workers: 2, WorkType: 1}, echoExec, rec)
+	p, _ := New(db, Config{Name: "p", Workers: 2, WorkType: 1}, echoExec, rec)
 	stop := runPool(t, p)
 	waitFor(t, func() bool { return p.Executed() == 10 }, "tasks incomplete")
 	stop()
@@ -306,19 +324,19 @@ func TestPoolTelemetry(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	db := newDB(t)
-	if _, err := New(db.DB, Config{}, echoExec, nil); err == nil {
+	if _, err := New(db, Config{}, echoExec, nil); err == nil {
 		t.Fatal("missing name must error")
 	}
-	if _, err := New(db.DB, Config{Name: "p", BatchSize: 2, Threshold: 5}, echoExec, nil); err == nil {
+	if _, err := New(db, Config{Name: "p", BatchSize: 2, Threshold: 5}, echoExec, nil); err == nil {
 		t.Fatal("threshold > batch must error")
 	}
 	if _, err := New(nil, Config{Name: "p"}, echoExec, nil); err == nil {
 		t.Fatal("nil api must error")
 	}
-	if _, err := New(db.DB, Config{Name: "p"}, nil, nil); err == nil {
+	if _, err := New(db, Config{Name: "p"}, nil, nil); err == nil {
 		t.Fatal("nil exec must error")
 	}
-	p, err := New(db.DB, Config{Name: "p"}, echoExec, nil)
+	p, err := New(db, Config{Name: "p"}, echoExec, nil)
 	if err != nil {
 		t.Fatalf("minimal config: %v", err)
 	}
@@ -329,7 +347,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestPoolRunningFlag(t *testing.T) {
 	db := newDB(t)
-	p, _ := New(db.DB, Config{Name: "p", WorkType: 1}, echoExec, nil)
+	p, _ := New(db, Config{Name: "p", WorkType: 1}, echoExec, nil)
 	if p.Running() {
 		t.Fatal("Running before Run")
 	}
@@ -364,7 +382,7 @@ func TestMultiCoreTaskOccupiesSlots(t *testing.T) {
 		smallStarted.Add(1)
 		return "small-done", nil
 	}
-	p, err := New(db.DB, Config{
+	p, err := New(db, Config{
 		Name: "mpi", Workers: 4, BatchSize: 8, WorkType: 1, CoresOf: JSONCores,
 	}, exec, nil)
 	if err != nil {
@@ -373,10 +391,10 @@ func TestMultiCoreTaskOccupiesSlots(t *testing.T) {
 	stop := runPool(t, p)
 	defer stop()
 
-	bigID, _ := db.SubmitTask("e", 1, `{"cores": 4}`, core.WithPriority(10))
+	bigID := submit(t, db, 1, `{"cores": 4}`, core.WithPriority(10))
 	var smallIDs []int64
 	for i := 0; i < 4; i++ {
-		id, _ := db.SubmitTask("e", 1, `{"cores": 1}`)
+		id := submit(t, db, 1, `{"cores": 1}`)
 		smallIDs = append(smallIDs, id)
 	}
 	<-bigRunning
@@ -385,12 +403,12 @@ func TestMultiCoreTaskOccupiesSlots(t *testing.T) {
 		t.Fatalf("%d single-core tasks ran while the 4-core task held all cores", n)
 	}
 	close(releaseBig)
-	if res, err := db.QueryResult(bigID, tick, waitMax); err != nil || res != "big-done" {
+	if res, err := queryResult(db, bigID); err != nil || res != "big-done" {
 		t.Fatalf("big result = %q, %v", res, err)
 	}
 	done := 0
 	for done < len(smallIDs) {
-		results, err := db.PopResults(smallIDs, 4, tick, waitMax)
+		results, err := popResults(db, smallIDs, 4)
 		if err != nil {
 			t.Fatalf("small tasks: %v", err)
 		}
@@ -402,12 +420,12 @@ func TestMultiCoreClampedToPoolSize(t *testing.T) {
 	// A task demanding more cores than the pool has is clamped, not
 	// deadlocked.
 	db := newDB(t)
-	id, _ := db.SubmitTask("e", 1, `{"cores": 64}`)
-	p, _ := New(db.DB, Config{Name: "small", Workers: 2, WorkType: 1, CoresOf: JSONCores},
+	id := submit(t, db, 1, `{"cores": 64}`)
+	p, _ := New(db, Config{Name: "small", Workers: 2, WorkType: 1, CoresOf: JSONCores},
 		func(string) (string, error) { return "ok", nil }, nil)
 	stop := runPool(t, p)
 	defer stop()
-	if res, err := db.QueryResult(id, tick, waitMax); err != nil || res != "ok" {
+	if res, err := queryResult(db, id); err != nil || res != "ok" {
 		t.Fatalf("oversized task = %q, %v", res, err)
 	}
 }
@@ -430,7 +448,7 @@ func TestMixedCoreThroughput(t *testing.T) {
 		curCores.Add(-k)
 		return "ok", nil
 	}
-	p, _ := New(db.DB, Config{Name: "mix", Workers: 4, BatchSize: 8, WorkType: 1, CoresOf: JSONCores}, exec, nil)
+	p, _ := New(db, Config{Name: "mix", Workers: 4, BatchSize: 8, WorkType: 1, CoresOf: JSONCores}, exec, nil)
 	stop := runPool(t, p)
 	defer stop()
 	var ids []int64
@@ -439,12 +457,12 @@ func TestMixedCoreThroughput(t *testing.T) {
 		if i%3 == 0 {
 			payload = `{"cores": 2}`
 		}
-		id, _ := db.SubmitTask("e", 1, payload)
+		id := submit(t, db, 1, payload)
 		ids = append(ids, id)
 	}
 	done := 0
 	for done < len(ids) {
-		results, err := db.PopResults(ids, len(ids), tick, waitMax)
+		results, err := popResults(db, ids, len(ids))
 		if err != nil {
 			t.Fatalf("drain: %v (done %d)", err, done)
 		}
@@ -453,4 +471,38 @@ func TestMixedCoreThroughput(t *testing.T) {
 	if peak := peakCores.Load(); peak > 4 {
 		t.Fatalf("peak core usage %d exceeds 4 workers", peak)
 	}
+}
+
+// TestPoolSurvivesServerLoss: a pool on a single-connection client whose
+// server goes away keeps retrying its subscription — every resubscribe
+// fails with a connection error — without panicking, and Run still returns
+// once the pool is canceled.
+func TestPoolSurvivesServerLoss(t *testing.T) {
+	db := newDB(t)
+	srv, err := service.Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := service.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p, err := New(c, Config{Name: "remote", Workers: 1, WorkType: 1}, echoExec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := runPool(t, p)
+	// Once its first query has found the queue empty, the pool parks on its
+	// subscription, so losing the server ends the stream it is reading.
+	waitFor(t, func() bool {
+		return obs.Flatten(srv.Metrics().Gather())[`osprey_service_request_seconds_count{op="query_tasks"}`] >= 1
+	}, "pool never queried")
+	srv.Close()
+	// Nothing observable happens while the pool retries against the dead
+	// connection; give it time for several failed resubscribes (the backoff
+	// starts at 5ms and caps at 250ms).
+	time.Sleep(300 * time.Millisecond)
+	stop()
 }

@@ -693,20 +693,6 @@ func (n *Node) Committed() uint64 {
 	return w.Committed()
 }
 
-// WaitQuorum blocks until every write committed so far is replicated to
-// WriteQuorum followers: the conservative wait on the newest applied index
-// at call time. It remains the fallback for callers that do not know their
-// write's own WAL index (a core.API backend without commit tokens); it can
-// over-wait — a write whose own entry replicated may still report a
-// transient failure because a later concurrent entry missed quorum. Callers
-// holding a commit token should use WaitQuorumIndex instead.
-func (n *Node) WaitQuorum() error {
-	n.mu.Lock()
-	idx := n.applied
-	n.mu.Unlock()
-	return n.WaitQuorumIndex(idx)
-}
-
 // WaitQuorumIndex blocks until the log entry at exactly idx is replicated to
 // WriteQuorum followers: the per-request quorum wait. Because idx is the
 // calling write's own commit token, a concurrent later write that misses

@@ -27,13 +27,12 @@ func newSoloLeader(t *testing.T, quorum int) *Node {
 	return n
 }
 
-// TestWaitQuorumIndexExact is the regression test for the PR-2 over-wait:
-// WaitQuorum waited on the newest applied index at call time, so a write
-// whose own entry had replicated could still fail because a *later*
-// concurrent entry missed quorum. With per-request commit tokens the earlier
-// quorum-acked write succeeds while the later one misses quorum — both
-// entries already in the log before either wait begins, the exact
-// interleaving the old code got wrong.
+// TestWaitQuorumIndexExact is the regression test for the quorum over-wait:
+// a wait on the newest applied index at call time fails a write whose own
+// entry had replicated whenever a *later* concurrent entry missed quorum.
+// With per-request commit tokens the earlier quorum-acked write succeeds
+// while the later one misses quorum — both entries already in the log before
+// either wait begins, the interleaving the whole-log wait gets wrong.
 func TestWaitQuorumIndexExact(t *testing.T) {
 	n := newSoloLeader(t, 1)
 
@@ -69,10 +68,10 @@ func TestWaitQuorumIndexExact(t *testing.T) {
 		t.Fatalf("WaitQuorumIndex(%d) with no ack = %v, want commit timeout", tokB, err)
 	}
 
-	// The legacy whole-log wait in the same state fails — what every write
-	// suffered before per-request tokens.
-	if err := n.WaitQuorum(); !errors.Is(err, minisql.ErrCommitTimeout) {
-		t.Fatalf("conservative WaitQuorum = %v, want commit timeout (B is unreplicated)", err)
+	// A wait on the newest applied index in the same state fails — what every
+	// write would suffer without per-request tokens.
+	if err := n.WaitQuorumIndex(n.Applied()); !errors.Is(err, minisql.ErrCommitTimeout) {
+		t.Fatalf("WaitQuorumIndex(Applied) = %v, want commit timeout (B is unreplicated)", err)
 	}
 
 	// Once B's entry is acknowledged too, both wait styles succeed.
@@ -80,8 +79,8 @@ func TestWaitQuorumIndexExact(t *testing.T) {
 	if err := n.WaitQuorumIndex(tokB); err != nil {
 		t.Fatalf("WaitQuorumIndex(%d) after ack: %v", tokB, err)
 	}
-	if err := n.WaitQuorum(); err != nil {
-		t.Fatalf("WaitQuorum after full ack: %v", err)
+	if err := n.WaitQuorumIndex(n.Applied()); err != nil {
+		t.Fatalf("WaitQuorumIndex(Applied) after full ack: %v", err)
 	}
 }
 

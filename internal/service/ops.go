@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"osprey/internal/core"
 	"osprey/internal/obs"
 )
 
@@ -174,9 +173,7 @@ func (s *Server) ServeOps(addr string) (*obs.OpsServer, error) {
 				s.node.Status().WriteStatus(w)
 			} else {
 				io.WriteString(w, "mode: standalone\n")
-				if db, ok := s.db.(*core.DB); ok {
-					db.WriteDurability(w)
-				}
+				s.db.WriteDurability(w)
 			}
 		},
 	})

@@ -5,7 +5,7 @@
 // SSH tunnel; here the service speaks a length-prefixed binary protocol
 // (wire protocol v2, see wire.go) over TCP — multiplexed and pipelined,
 // with a newline-delimited JSON fallback negotiated per connection for
-// pre-v2 clients — and the Client type implements core.API so algorithms
+// pre-v2 clients — and the Client type implements core.Session so algorithms
 // and pools run unchanged against a local database or a remote service.
 package service
 

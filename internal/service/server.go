@@ -24,10 +24,9 @@ type ListenFunc func(network, addr string) (net.Listener, error)
 
 // Server exposes an EMEWS task database over TCP.
 type Server struct {
-	db        core.Session
-	tokenless bool // db is a lifted v1 backend: no commit tokens
-	ln        net.Listener
-	node      *replica.Node // nil for standalone servers
+	db   *core.DB
+	ln   net.Listener
+	node *replica.Node // nil for standalone servers
 
 	met        *serverMetrics // per-op counters/histograms (ops.go)
 	log        *slog.Logger
@@ -67,8 +66,7 @@ type Server struct {
 
 // Serve starts a server for db on addr (e.g. "127.0.0.1:0") and returns once
 // the listener is bound. Use Addr for the chosen address and Close to stop.
-// Legacy token-less backends can be served through core.Lift.
-func Serve(db core.Session, addr string, opts ...ServerOption) (*Server, error) {
+func Serve(db *core.DB, addr string, opts ...ServerOption) (*Server, error) {
 	return serve(db, nil, addr, opts...)
 }
 
@@ -93,26 +91,13 @@ func ServeNode(n *replica.Node, addr string, opts ...ServerOption) (*Server, err
 	return s, nil
 }
 
-func serve(db core.Session, node *replica.Node, addr string, opts ...ServerOption) (*Server, error) {
-	// The metrics registry is shared downward: a replicated server reports
-	// into its node's (and therefore database's) registry so one scrape
-	// covers every layer; a standalone server over a core.DB does the same
-	// through the DB, and only a lifted legacy backend gets a private one.
-	var reg *obs.Registry
-	switch {
-	case node != nil:
-		reg = node.Metrics()
-	default:
-		if m, ok := db.(interface{ Metrics() *obs.Registry }); ok {
-			reg = m.Metrics()
-		} else {
-			reg = obs.NewRegistry()
-		}
-	}
+func serve(db *core.DB, node *replica.Node, addr string, opts ...ServerOption) (*Server, error) {
+	// The metrics registry is shared downward: the server reports into its
+	// database's registry (a node's registry is its database's), so one
+	// scrape covers every layer.
 	s := &Server{
-		db: db, tokenless: core.Tokenless(db),
-		node: node, conns: make(map[net.Conn]struct{}),
-		met: newServerMetrics(reg), log: defaultLogger(),
+		db: db, node: node, conns: make(map[net.Conn]struct{}),
+		met: newServerMetrics(db.Metrics()), log: defaultLogger(),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -634,17 +619,9 @@ func (s *Server) route(req request) response {
 	// real leader instead of trusting a zombie. The write may still have
 	// committed locally — a failed ack is ambiguous, which is exactly what
 	// dedup-keyed submits exist to disambiguate on retry. The wait covers
-	// precisely the request's own WAL entry (its commit token); a lifted
-	// token-less backend falls back to waiting on the newest committed index
-	// (conservative over-wait).
+	// precisely the request's own WAL entry (its commit token).
 	if resp.OK && s.node != nil && quorumOps[req.Op] {
-		var err error
-		if s.tokenless {
-			err = s.node.WaitQuorum()
-		} else {
-			err = s.node.WaitQuorumIndex(resp.Token)
-		}
-		if err != nil {
+		if err := s.node.WaitQuorumIndex(resp.Token); err != nil {
 			return response{Error: "service: write not quorum-committed: " + err.Error(), Transient: true}
 		}
 	}

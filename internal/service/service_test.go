@@ -12,20 +12,24 @@ import (
 	"osprey/internal/pool"
 )
 
-const (
-	tick    = 5 * time.Millisecond
-	waitMax = 3 * time.Second
-)
+const waitMax = 3 * time.Second
 
-// v1client exposes the deprecated API surface of a wire Client (through
-// core.Compat) next to the Client itself, so the v1-style tests below double
-// as end-to-end coverage of the compat adapter over the wire.
-type v1client struct {
-	core.API
-	C *Client
+var bg = context.Background()
+
+// waitCtx returns a polling context that expires after d.
+func waitCtx(t *testing.T, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(bg, d)
+	t.Cleanup(cancel)
+	return ctx
 }
 
-func newServerClient(t *testing.T) (*core.DB, v1client) {
+// submitID submits one task through sess and returns its id.
+func submitID(sess core.Session, expID string, workType int, payload string, opts ...core.SubmitOption) (int64, error) {
+	res, err := sess.Submit(bg, expID, workType, payload, opts...)
+	return res.ID, err
+}
+
+func newServerClient(t *testing.T) (*core.DB, *Client) {
 	t.Helper()
 	db, err := core.NewDB()
 	if err != nil {
@@ -44,38 +48,40 @@ func newServerClient(t *testing.T) (*core.DB, v1client) {
 		srv.Close()
 		db.Close()
 	})
-	return db, v1client{API: core.Compat(c), C: c}
+	return db, c
 }
 
 func TestPing(t *testing.T) {
 	_, c := newServerClient(t)
-	if err := c.C.Ping(); err != nil {
+	if err := c.Ping(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 }
 
 func TestRemoteSubmitQueryReport(t *testing.T) {
 	_, c := newServerClient(t)
-	id, err := c.SubmitTask("exp", 1, `{"x": [1, 2]}`, core.WithPriority(4), core.WithTags("remote"))
+	sub, err := c.Submit(bg, "exp", 1, `{"x": [1, 2]}`, core.WithPriority(4), core.WithTags("remote"))
 	if err != nil {
-		t.Fatalf("SubmitTask: %v", err)
+		t.Fatalf("Submit: %v", err)
 	}
-	tasks, err := c.QueryTasks(1, 1, "remote-pool", tick, waitMax)
+	id := sub.ID
+	popped, err := c.QueryTasks(waitCtx(t, waitMax), 1, 1, "remote-pool")
 	if err != nil {
 		t.Fatalf("QueryTasks: %v", err)
 	}
+	tasks := popped.Tasks
 	if len(tasks) != 1 || tasks[0].ID != id || tasks[0].Payload != `{"x": [1, 2]}` ||
 		tasks[0].Priority != 4 || tasks[0].Pool != "remote-pool" {
 		t.Fatalf("tasks = %+v", tasks)
 	}
-	if err := c.ReportTask(id, 1, "r"); err != nil {
-		t.Fatalf("ReportTask: %v", err)
+	if _, err := c.Report(bg, id, 1, "r"); err != nil {
+		t.Fatalf("Report: %v", err)
 	}
-	res, err := c.QueryResult(id, tick, waitMax)
-	if err != nil || res != "r" {
-		t.Fatalf("QueryResult = %q, %v", res, err)
+	res, err := c.QueryResult(waitCtx(t, waitMax), id)
+	if err != nil || res.Result != "r" {
+		t.Fatalf("QueryResult = %q, %v", res.Result, err)
 	}
-	tags, err := c.Tags(id)
+	tags, err := c.Tags(bg, id)
 	if err != nil || len(tags) != 1 || tags[0] != "remote" {
 		t.Fatalf("Tags = %v, %v", tags, err)
 	}
@@ -83,11 +89,11 @@ func TestRemoteSubmitQueryReport(t *testing.T) {
 
 func TestRemoteTimeoutMapsToErrTimeout(t *testing.T) {
 	_, c := newServerClient(t)
-	_, err := c.QueryTasks(1, 1, "p", tick, 50*time.Millisecond)
+	_, err := c.QueryTasks(waitCtx(t, 50*time.Millisecond), 1, 1, "p")
 	if !errors.Is(err, core.ErrTimeout) {
 		t.Fatalf("err = %v, want core.ErrTimeout", err)
 	}
-	if _, err := c.QueryResult(99, tick, 50*time.Millisecond); !errors.Is(err, core.ErrTimeout) {
+	if _, err := c.QueryResult(waitCtx(t, 50*time.Millisecond), 99); !errors.Is(err, core.ErrTimeout) {
 		t.Fatalf("QueryResult err = %v", err)
 	}
 }
@@ -96,26 +102,26 @@ func TestRemoteBatchOps(t *testing.T) {
 	_, c := newServerClient(t)
 	var ids []int64
 	for i := 0; i < 5; i++ {
-		id, _ := c.SubmitTask("e", 1, fmt.Sprint(i))
-		ids = append(ids, id)
+		sub, _ := c.Submit(bg, "e", 1, fmt.Sprint(i))
+		ids = append(ids, sub.ID)
 	}
-	sts, err := c.Statuses(ids)
+	sts, err := c.Statuses(bg, ids)
 	if err != nil || len(sts) != 5 {
 		t.Fatalf("Statuses = %v, %v", sts, err)
 	}
-	n, err := c.UpdatePriorities(ids, []int{5, 4, 3, 2, 1})
-	if err != nil || n != 5 {
-		t.Fatalf("UpdatePriorities = %d, %v", n, err)
+	up, err := c.UpdatePriorities(bg, ids, []int{5, 4, 3, 2, 1})
+	if err != nil || up.Count != 5 {
+		t.Fatalf("UpdatePriorities = %d, %v", up.Count, err)
 	}
-	prios, err := c.Priorities(ids)
+	prios, err := c.Priorities(bg, ids)
 	if err != nil || prios[ids[0]] != 5 {
 		t.Fatalf("Priorities = %v, %v", prios, err)
 	}
-	nc, err := c.CancelTasks(ids[3:])
-	if err != nil || nc != 2 {
-		t.Fatalf("CancelTasks = %d, %v", nc, err)
+	nc, err := c.CancelTasks(bg, ids[3:])
+	if err != nil || nc.Count != 2 {
+		t.Fatalf("CancelTasks = %d, %v", nc.Count, err)
 	}
-	counts, err := c.Counts("e")
+	counts, err := c.Counts(bg, "e")
 	if err != nil || counts[core.StatusCanceled] != 2 || counts[core.StatusQueued] != 3 {
 		t.Fatalf("Counts = %v, %v", counts, err)
 	}
@@ -125,20 +131,18 @@ func TestRemotePopResults(t *testing.T) {
 	db, c := newServerClient(t)
 	var ids []int64
 	for i := 0; i < 3; i++ {
-		id, _ := c.SubmitTask("e", 1, "x")
-		ids = append(ids, id)
+		sub, _ := c.Submit(bg, "e", 1, "x")
+		ids = append(ids, sub.ID)
 	}
-	qctx, qcancel := context.WithTimeout(context.Background(), waitMax)
-	popped, _ := db.QueryTasks(qctx, 1, 3, "p")
-	qcancel()
+	popped, _ := db.QueryTasks(waitCtx(t, waitMax), 1, 3, "p")
 	for _, task := range popped.Tasks {
-		db.Report(context.Background(), task.ID, 1, fmt.Sprintf("res-%d", task.ID))
+		db.Report(bg, task.ID, 1, fmt.Sprintf("res-%d", task.ID))
 	}
-	results, err := c.PopResults(ids, 10, tick, waitMax)
-	if err != nil || len(results) != 3 {
-		t.Fatalf("PopResults = %v, %v", results, err)
+	res, err := c.PopResults(waitCtx(t, waitMax), ids, 10)
+	if err != nil || len(res.Results) != 3 {
+		t.Fatalf("PopResults = %v, %v", res.Results, err)
 	}
-	for _, r := range results {
+	for _, r := range res.Results {
 		if r.Result != fmt.Sprintf("res-%d", r.ID) {
 			t.Fatalf("result = %+v", r)
 		}
@@ -147,13 +151,13 @@ func TestRemotePopResults(t *testing.T) {
 
 func TestRemoteRequeue(t *testing.T) {
 	_, c := newServerClient(t)
-	c.SubmitTask("e", 1, "x")
-	if _, err := c.QueryTasks(1, 1, "dead-pool", tick, waitMax); err != nil {
+	c.Submit(bg, "e", 1, "x")
+	if _, err := c.QueryTasks(waitCtx(t, waitMax), 1, 1, "dead-pool"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.RequeueRunning("dead-pool")
-	if err != nil || n != 1 {
-		t.Fatalf("RequeueRunning = %d, %v", n, err)
+	rq, err := c.RequeueRunning(bg, "dead-pool")
+	if err != nil || rq.Count != 1 {
+		t.Fatalf("RequeueRunning = %d, %v", rq.Count, err)
 	}
 }
 
@@ -162,7 +166,11 @@ func TestWorkerPoolOverService(t *testing.T) {
 	// cross-resource deployment — completes tasks submitted by another
 	// client.
 	_, me := newServerClient(t)
-	_, poolClient := newServerClient2(t, me.C)
+	poolClient, err := Dial(me.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer poolClient.Close()
 
 	p, err := pool.New(poolClient, pool.Config{Name: "svc-pool", Workers: 3, WorkType: 1},
 		func(payload string) (string, error) { return "done:" + payload, nil }, nil)
@@ -175,39 +183,27 @@ func TestWorkerPoolOverService(t *testing.T) {
 
 	var ids []int64
 	for i := 0; i < 10; i++ {
-		id, err := me.SubmitTask("e", 1, fmt.Sprint(i))
+		sub, err := me.Submit(bg, "e", 1, fmt.Sprint(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		ids = append(ids, sub.ID)
 	}
 	got := 0
 	for got < len(ids) {
-		results, err := me.PopResults(ids, len(ids), tick, waitMax)
+		res, err := me.PopResults(waitCtx(t, waitMax), ids, len(ids))
 		if err != nil {
 			t.Fatalf("PopResults: %v (have %d)", err, got)
 		}
-		got += len(results)
+		got += len(res.Results)
 	}
-}
-
-// newServerClient2 dials a second client against the same server as c.
-func newServerClient2(t *testing.T, c *Client) (*Client, *Client) { //nolint:unparam
-	t.Helper()
-	c2, err := Dial(c.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c2.Close() })
-	return c, c2
 }
 
 func TestConcurrentClients(t *testing.T) {
-	db, c := newServerClient(t)
-	_ = db
+	_, c := newServerClient(t)
 	var clients []*Client
 	for i := 0; i < 4; i++ {
-		ci, err := Dial(c.C.addr)
+		ci, err := Dial(c.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +224,7 @@ func TestConcurrentClients(t *testing.T) {
 		}(i, ci)
 	}
 	wg.Wait()
-	counts, err := c.Counts("e")
+	counts, err := c.Counts(bg, "e")
 	if err != nil || counts[core.StatusQueued] != 100 {
 		t.Fatalf("counts = %v, %v", counts, err)
 	}
@@ -237,11 +233,11 @@ func TestConcurrentClients(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, c := newServerClient(t)
 	// Unknown op via raw round trip.
-	if _, err := c.C.roundTrip(request{Op: "explode"}, time.Second); err == nil {
+	if _, err := c.roundTrip(request{Op: "explode"}, time.Second); err == nil {
 		t.Fatal("unknown op must error")
 	}
 	// Report for a nonexistent task surfaces the DB error.
-	if err := c.ReportTask(424242, 1, "x"); err == nil {
+	if _, err := c.Report(bg, 424242, 1, "x"); err == nil {
 		t.Fatal("report unknown task must error")
 	}
 }
@@ -290,12 +286,12 @@ func TestLargePayload(t *testing.T) {
 	for i := range big {
 		big[i] = 'a' + byte(i%26)
 	}
-	id, err := c.SubmitTask("e", 1, string(big))
+	sub, err := c.Submit(bg, "e", 1, string(big))
 	if err != nil {
 		t.Fatalf("submit 1MB payload: %v", err)
 	}
-	tasks, err := c.QueryTasks(1, 1, "p", tick, waitMax)
-	if err != nil || tasks[0].ID != id || tasks[0].Payload != string(big) {
+	popped, err := c.QueryTasks(waitCtx(t, waitMax), 1, 1, "p")
+	if err != nil || popped.Tasks[0].ID != sub.ID || popped.Tasks[0].Payload != string(big) {
 		t.Fatalf("large payload round trip failed: %v", err)
 	}
 }
@@ -306,16 +302,16 @@ func TestRemoteSubmitBatch(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = fmt.Sprintf(`{"i": %d}`, i)
 	}
-	ids, err := c.SubmitTasks("batch", 1, payloads, []int{3})
-	if err != nil || len(ids) != 100 {
-		t.Fatalf("SubmitTasks = %d ids, %v", len(ids), err)
+	batch, err := c.SubmitBatch(bg, "batch", 1, payloads, []int{3}, nil)
+	if err != nil || len(batch.IDs) != 100 {
+		t.Fatalf("SubmitBatch = %d ids, %v", len(batch.IDs), err)
 	}
-	counts, _ := c.Counts("batch")
+	counts, _ := c.Counts(bg, "batch")
 	if counts[core.StatusQueued] != 100 {
 		t.Fatalf("counts = %v", counts)
 	}
-	tasks, err := c.QueryTasks(1, 1, "p", tick, waitMax)
-	if err != nil || tasks[0].Priority != 3 {
-		t.Fatalf("first pop = %+v, %v", tasks, err)
+	popped, err := c.QueryTasks(waitCtx(t, waitMax), 1, 1, "p")
+	if err != nil || popped.Tasks[0].Priority != 3 {
+		t.Fatalf("first pop = %+v, %v", popped.Tasks, err)
 	}
 }

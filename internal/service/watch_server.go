@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"osprey/internal/core"
 	"osprey/internal/watch"
 )
 
@@ -50,19 +49,6 @@ type srvSub struct {
 	drained atomic.Bool
 }
 
-// watchDB resolves the *core.DB behind this server, the only backend kind
-// with a watch hub (replicated nodes included — followers push their own
-// applied transitions). Lifted legacy backends return nil.
-func (s *Server) watchDB() *core.DB {
-	if s.node != nil {
-		return s.node.DB()
-	}
-	if db, ok := s.db.(*core.DB); ok {
-		return db
-	}
-	return nil
-}
-
 // watchQuery maps the wire request to a hub query. The request's Token rides
 // along as the resume position.
 func watchQuery(req *request) (watch.Query, error) {
@@ -101,21 +87,16 @@ func (v *v2conn) startWatch(id uint64, req *request) {
 		fail(response{Error: "service: draining", Transient: true})
 		return
 	}
-	db := s.watchDB()
-	if db == nil {
-		fail(response{Error: "service: watch unsupported by this backend"})
-		return
-	}
 	q, err := watchQuery(req)
 	if err != nil {
 		fail(response{Error: err.Error()})
 		return
 	}
-	if q.Since > db.WatchHub().Last() {
-		go v.finishWatch(id, req, q, db, t0)
+	if q.Since > s.db.WatchHub().Last() {
+		go v.finishWatch(id, req, q, t0)
 		return
 	}
-	v.finishWatch(id, req, q, db, t0)
+	v.finishWatch(id, req, q, t0)
 }
 
 // finishWatch completes the subscribe begun by startWatch. A resume position
@@ -123,21 +104,21 @@ func (v *v2conn) startWatch(id uint64, req *request) {
 // apply up to it, so a failover from a fresher node resumes live instead of
 // resyncing; only a position that never arrives — a rolled-back token
 // domain — falls through to the resync path.
-func (v *v2conn) finishWatch(id uint64, req *request, q watch.Query, db *core.DB, t0 time.Time) {
+func (v *v2conn) finishWatch(id uint64, req *request, q watch.Query, t0 time.Time) {
 	s := v.s
 	fail := func(resp response) {
 		resp.Done = true
 		v.writeResp(id, &resp, "watch", req.Trace)
 		s.met.observe("watch", time.Since(t0), false)
 	}
-	if hub := db.WatchHub(); q.Since > hub.Last() {
+	if hub := s.db.WatchHub(); q.Since > hub.Last() {
 		deadline := time.Now().Add(watchCatchUp)
 		for q.Since > hub.Last() && time.Now().Before(deadline) && !s.draining.Load() {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	st, err := db.Watch(ctx, q, watchSubBuf)
+	st, err := s.db.Watch(ctx, q, watchSubBuf)
 	if err != nil {
 		cancel()
 		fail(errResponse(err))
@@ -156,7 +137,7 @@ func (v *v2conn) finishWatch(id uint64, req *request, q watch.Query, db *core.DB
 		// now so the drain's sweep cannot have missed this subscription.
 		cancel()
 	}
-	v.writeResp(id, &response{OK: true, Token: db.Token()}, "watch", req.Trace)
+	v.writeResp(id, &response{OK: true, Token: s.db.Token()}, "watch", req.Trace)
 	s.met.observe("watch", time.Since(t0), true)
 	go sub.pump()
 }

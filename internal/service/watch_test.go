@@ -170,27 +170,17 @@ func TestWatchResumeOverWire(t *testing.T) {
 	}
 }
 
-// TestWatchUnsupportedBackend: a lifted legacy backend has no hub; the watch
-// op must fail cleanly (terminal frame), not hang or kill the connection.
+// TestWatchUnsupportedBackend: a watch request the server cannot serve —
+// kind "task" without a task id, which the public client never sends — must
+// fail with a terminal frame, not hang or kill the connection.
 func TestWatchUnsupportedBackend(t *testing.T) {
-	db, err := core.NewDB()
-	if err != nil {
-		t.Fatal(err)
+	_, c := newServerClient(t)
+	resp, err := c.roundTrip(request{Op: "watch", Watch: "task"}, time.Second)
+	if err == nil || !strings.Contains(err.Error(), "requires task_id") {
+		t.Fatalf("malformed watch: err = %v, want a task_id error", err)
 	}
-	defer db.Close()
-	srv, err := Serve(core.Lift(plainAPI{core.Compat(db)}), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Watch(context.Background(), watch.Query{All: true}, 4)
-	if err == nil || !strings.Contains(err.Error(), "unsupported") {
-		t.Fatalf("Watch on lifted backend: err = %v, want unsupported", err)
+	if !resp.Done {
+		t.Fatalf("malformed watch answered %+v, want a terminal frame", resp)
 	}
 	// The connection must remain healthy for normal ops.
 	if err := c.Ping(); err != nil {

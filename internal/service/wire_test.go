@@ -281,11 +281,11 @@ func TestWireTaskZeroTimestamps(t *testing.T) {
 	}
 	// And over a live connection: GetTask on a queued task.
 	_, c := newServerClient(t)
-	id, err := c.SubmitTask("z", 1, "p")
+	id, err := submitID(c, "z", 1, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.C.GetTask(context.Background(), id)
+	got, err := c.GetTask(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	go func() {
 		// Long-poll for a task that is only submitted after the fast calls
 		// below complete — on the same connection.
-		res, err := c.C.QueryTasks(ctx, 42, 1, "pipeline")
+		res, err := c.QueryTasks(ctx, 42, 1, "pipeline")
 		if err == nil && len(res.Tasks) != 1 {
 			err = fmt.Errorf("QueryTasks = %+v", res)
 		}
@@ -365,17 +365,17 @@ func TestPipelinedOutOfOrder(t *testing.T) {
 	// Give the poll a moment to be parked server-side.
 	time.Sleep(20 * time.Millisecond)
 	fastStart := time.Now()
-	if err := c.C.Ping(); err != nil {
+	if err := c.Ping(); err != nil {
 		t.Fatalf("Ping behind a long-poll: %v", err)
 	}
-	if _, err := c.C.Submit(context.Background(), "fast", 7, "other-type"); err != nil {
+	if _, err := c.Submit(context.Background(), "fast", 7, "other-type"); err != nil {
 		t.Fatalf("Submit behind a long-poll: %v", err)
 	}
 	if d := time.Since(fastStart); d > time.Second {
 		t.Fatalf("pipelined calls took %v — head-of-line blocked behind the poll", d)
 	}
 	// Now satisfy the poll.
-	if _, err := c.C.Submit(context.Background(), "exp", 42, "wanted"); err != nil {
+	if _, err := c.Submit(context.Background(), "exp", 42, "wanted"); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-pollDone; err != nil {
@@ -395,7 +395,7 @@ func TestPipelinedConcurrentCallers(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := c.C.Submit(context.Background(), "conc", 1, fmt.Sprintf("%d-%d", g, i)); err != nil {
+				if _, err := c.Submit(context.Background(), "conc", 1, fmt.Sprintf("%d-%d", g, i)); err != nil {
 					errs <- err
 					return
 				}

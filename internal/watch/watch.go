@@ -90,9 +90,9 @@ type Stream interface {
 	Close() error
 }
 
-// Session is the optional capability interface for watch-enabled backends.
-// It is deliberately not part of core.Session: pool and future type-assert
-// it and fall back to polling when the backend doesn't provide it.
+// Session is the subscribe half of the task API. core.Session embeds it, so
+// every backend — the in-process DB and both service clients — can push
+// task-state transitions; it is named on its own for code that only watches.
 type Session interface {
 	Watch(ctx context.Context, q Query, buf int) (Stream, error)
 }
