@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"osprey/internal/minisql"
@@ -12,7 +14,8 @@ import (
 // the non-polling bodies of the hot paths, and scrape-time collectors for
 // queue depths and plan-cache counters. Polling waits are deliberately
 // excluded from the latency histograms — a 30 s long-poll on an empty queue
-// is not a slow pop.
+// is not a slow pop. Full-scan counts per table answer "which statement is
+// scanning?"; minisql's Explain names the statement's path.
 type dbMetrics struct {
 	reg         *obs.Registry
 	submit      *obs.Histogram
@@ -38,6 +41,10 @@ func newDBMetrics(eng *minisql.Engine) *dbMetrics {
 		e.Counter("osprey_minisql_plan_cache_misses_total", float64(s.Misses))
 		e.Counter("osprey_minisql_plan_cache_evictions_total", float64(s.Evictions))
 		e.Gauge("osprey_minisql_plan_cache_size", float64(s.Size))
+		scans := eng.FullScans()
+		for _, tbl := range slices.Sorted(maps.Keys(scans)) {
+			e.Counter("osprey_minisql_full_scans_total", float64(scans[tbl]), "table", tbl)
+		}
 		e.Gauge("osprey_db_queue_depth", float64(eng.TableRows("eq_out_q")), "queue", "out")
 		e.Gauge("osprey_db_queue_depth", float64(eng.TableRows("eq_in_q")), "queue", "in")
 	})

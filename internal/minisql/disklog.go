@@ -239,12 +239,12 @@ type DiskLog struct {
 	f        File      // active segment file
 	w        *bufio.Writer
 	dirty    []File // rolled-over files with writes not yet fsynced
-	base     uint64     // index before the first retained entry
-	last     uint64     // index of the newest appended entry
-	anchored bool       // last is a contiguity anchor (false: fresh log, any start index)
-	synced   uint64     // durable high-water mark
-	waiters  int        // callers blocked in WaitDurable
-	err      error      // sticky I/O error; fails all later operations
+	base     uint64 // index before the first retained entry
+	last     uint64 // index of the newest appended entry
+	anchored bool   // last is a contiguity anchor (false: fresh log, any start index)
+	synced   uint64 // durable high-water mark
+	waiters  int    // callers blocked in WaitDurable
+	err      error  // sticky I/O error; fails all later operations
 	closed   bool
 	encBuf   []byte
 	syncing  bool // an fsync batch is in flight outside the lock

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -40,7 +41,12 @@ type Engine struct {
 	lastLogged uint64         // highest log index the hook has assigned
 	spreadN    int            // spread-IN width of the statement executing now
 
-	plans *planCache // parsed-statement LRU (plancache.go)
+	plans     *planCache // parsed-statement LRU (plancache.go)
+	schemaGen uint64     // bumped at every schema change; stamps access paths
+
+	// Full-scan counters per table name (access.go): created under mu, then
+	// bumped with one atomic add per scan-path execution.
+	scans map[string]*atomic.Uint64
 
 	// Slow-query log (obs.go): statements at or over slowNanos are reported
 	// to slowFn. Both are read and written under mu; zero/nil means off.
@@ -66,7 +72,18 @@ type undoOp struct {
 
 // NewEngine returns an empty database.
 func NewEngine() *Engine {
-	return &Engine{tables: make(map[string]*table), plans: newPlanCache()}
+	return &Engine{
+		tables: make(map[string]*table),
+		plans:  newPlanCache(),
+		scans:  make(map[string]*atomic.Uint64),
+	}
+}
+
+// schemaChangedLocked invalidates every cached plan and access path after a
+// schema change (CREATE/DROP TABLE, CREATE INDEX, Restore).
+func (e *Engine) schemaChangedLocked() {
+	e.schemaGen++
+	e.plans.purge()
 }
 
 // Exec parses and executes a single SQL statement with positional `?`
@@ -82,37 +99,21 @@ func (e *Engine) Exec(sql string, args ...any) (*Result, error) {
 // installed, or while inside an explicit transaction (the whole transaction
 // gets one entry at COMMIT — use TxLogged).
 func (e *Engine) ExecLogged(sql string, args ...any) (*Result, uint64, error) {
-	p, err := e.cachedParse(sql)
+	p, vals, err := e.bind(sql, args)
 	if err != nil {
 		return nil, 0, err
 	}
-	stmt := p.stmt
-	if len(args) < p.nparams {
-		return nil, 0, fmt.Errorf("minisql: statement has %d parameters, %d arguments given (in %q)",
-			p.nparams, len(args), compactSQL(sql))
-	}
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		v, err := toValue(a)
-		if err != nil {
-			return nil, 0, err
-		}
-		vals[i] = v
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.spreadN = 0
-	if p.spread {
-		e.spreadN = len(args) - p.nparams
-	}
-	if !e.inTx && isMutating(stmt) {
+	e.spreadN = spreadWidth(p, vals)
+	if !e.inTx && isMutating(p.stmt) {
 		// Implicit transaction: a mutating statement that fails part-way
 		// (e.g. a bad row in a multi-row INSERT) must leave no trace —
 		// partial effects would never reach the statement log, silently
 		// diverging replicas from the leader.
 		e.inTx = true
 		e.undo = e.undo[:0]
-		res, err := e.execLocked(stmt, vals, sql)
+		res, err := e.execLocked(p, vals, sql)
 		if err != nil {
 			e.rollbackLocked()
 			e.inTx = false
@@ -123,12 +124,43 @@ func (e *Engine) ExecLogged(sql string, args ...any) (*Result, uint64, error) {
 		idx := e.flushPendingLocked()
 		return res, idx, nil
 	}
-	res, err := e.execLocked(stmt, vals, sql)
+	res, err := e.execLocked(p, vals, sql)
 	var idx uint64
 	if err == nil && !e.inTx {
 		idx = e.flushPendingLocked()
 	}
 	return res, idx, err
+}
+
+// bind fetches the statement's plan and converts its arguments, checking
+// that every fixed parameter has one.
+func (e *Engine) bind(sql string, args []any) (*plan, []Value, error) {
+	p, err := e.cachedParse(sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(args) < p.nparams {
+		return nil, nil, fmt.Errorf("minisql: statement has %d parameters, %d arguments given (in %q)",
+			p.nparams, len(args), compactSQL(sql))
+	}
+	vals := make([]Value, len(args))
+	for i, a := range args {
+		v, err := toValue(a)
+		if err != nil {
+			return nil, nil, err
+		}
+		vals[i] = v
+	}
+	return p, vals, nil
+}
+
+// spreadWidth is the number of arguments the statement's IN (?...) list
+// absorbs in an execution with args: 0 when it has no spread.
+func spreadWidth(p *plan, args []Value) int {
+	if !p.spread || len(args) < p.nparams {
+		return 0
+	}
+	return len(args) - p.nparams
 }
 
 // Tx runs fn inside a transaction: fn's statements are committed if fn
@@ -178,27 +210,12 @@ type Tx struct{ e *Engine }
 
 // Exec executes a statement within the transaction.
 func (tx *Tx) Exec(sql string, args ...any) (*Result, error) {
-	p, err := tx.e.cachedParse(sql)
+	p, vals, err := tx.e.bind(sql, args)
 	if err != nil {
 		return nil, err
 	}
-	if len(args) < p.nparams {
-		return nil, fmt.Errorf("minisql: statement has %d parameters, %d arguments given (in %q)",
-			p.nparams, len(args), compactSQL(sql))
-	}
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		v, err := toValue(a)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	tx.e.spreadN = 0
-	if p.spread {
-		tx.e.spreadN = len(args) - p.nparams
-	}
-	return tx.e.execLocked(p.stmt, vals, sql)
+	tx.e.spreadN = spreadWidth(p, vals)
+	return tx.e.execLocked(p, vals, sql)
 }
 
 // execLocked executes one parsed statement and, on success, records mutating
@@ -208,13 +225,14 @@ func (tx *Tx) Exec(sql string, args ...any) (*Result, error) {
 // effects. Failed statements never reach the commit hook, so without the
 // unwind a caller that swallows the error and commits would persist rows
 // the statement log never saw — silently diverging replicas.
-func (e *Engine) execLocked(stmt any, args []Value, sql string) (*Result, error) {
+func (e *Engine) execLocked(p *plan, args []Value, sql string) (*Result, error) {
+	stmt := p.stmt
 	mark := len(e.undo)
 	var t0 time.Time
 	if e.slowNanos > 0 {
 		t0 = time.Now()
 	}
-	res, err := e.execStmtLocked(stmt, args, sql)
+	res, err := e.execStmtLocked(p, args, sql)
 	if e.slowNanos > 0 && e.slowFn != nil {
 		if d := time.Since(t0); int64(d) >= e.slowNanos {
 			e.slowFn(sql, d)
@@ -264,8 +282,8 @@ func (e *Engine) flushPendingLocked() uint64 {
 	return idx
 }
 
-func (e *Engine) execStmtLocked(stmt any, args []Value, sql string) (*Result, error) {
-	switch st := stmt.(type) {
+func (e *Engine) execStmtLocked(p *plan, args []Value, sql string) (*Result, error) {
+	switch st := p.stmt.(type) {
 	case createTableStmt:
 		return e.execCreateTable(st)
 	case createIndexStmt:
@@ -275,11 +293,11 @@ func (e *Engine) execStmtLocked(stmt any, args []Value, sql string) (*Result, er
 	case insertStmt:
 		return e.execInsert(st, args)
 	case selectStmt:
-		return e.execSelect(st, args)
+		return e.execSelect(p, st, args)
 	case updateStmt:
-		return e.execUpdate(st, args)
+		return e.execUpdate(p, st, args)
 	case deleteStmt:
-		return e.execDelete(st, args)
+		return e.execDelete(p, st, args)
 	case beginStmt:
 		if e.inTx {
 			return nil, ErrInTx
@@ -355,7 +373,7 @@ func (e *Engine) execCreateTable(st createTableStmt) (*Result, error) {
 		return nil, err
 	}
 	e.tables[st.Name] = t
-	e.plans.purge()
+	e.schemaChangedLocked()
 	return &Result{}, nil
 }
 
@@ -373,7 +391,7 @@ func (e *Engine) execCreateIndex(st createIndexStmt) (*Result, error) {
 			if err := t.addIndex(spec, true); err != nil {
 				return nil, err
 			}
-			e.plans.purge()
+			e.schemaChangedLocked()
 			return &Result{}, nil
 		}
 		if st.IfNotExists {
@@ -384,7 +402,7 @@ func (e *Engine) execCreateIndex(st createIndexStmt) (*Result, error) {
 	if err := t.addIndex(spec, st.Ordered); err != nil {
 		return nil, err
 	}
-	e.plans.purge()
+	e.schemaChangedLocked()
 	return &Result{}, nil
 }
 
@@ -396,7 +414,7 @@ func (e *Engine) execDropTable(st dropTableStmt) (*Result, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Name)
 	}
 	delete(e.tables, st.Name)
-	e.plans.purge()
+	e.schemaChangedLocked()
 	return &Result{}, nil
 }
 
@@ -457,18 +475,16 @@ func (e *Engine) execInsert(st insertStmt, args []Value) (*Result, error) {
 	return res, nil
 }
 
-// matchIDs evaluates the WHERE clause and returns matching rowids in
-// insertion order, using a hash index when the predicate contains a
-// top-level equality (or IN) conjunct on an indexed column.
-func (e *Engine) matchIDs(t *table, where expr, args []Value) ([]int64, error) {
-	candidates := e.planCandidates(t, where, args)
-	if candidates == nil {
-		candidates = t.scanIDs()
-	}
+// matchIDs returns, in ascending rowid order, the rows of a resolved pk/hash
+// or scan access that satisfy the WHERE clause. Only a scan visits every
+// row; a probe visits exactly the rows its values index, and checks them
+// against the rest of the clause only.
+func matchIDs(t *table, acc access, where expr, ev *evalCtx) ([]int64, error) {
+	candidates := acc.ids(t)
+	where = acc.residual(where)
 	if where == nil {
 		return candidates, nil
 	}
-	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
 	out := candidates[:0:0]
 	for _, id := range candidates {
 		row, ok := t.rows[id]
@@ -487,87 +503,6 @@ func (e *Engine) matchIDs(t *table, where expr, args []Value) ([]int64, error) {
 	return out, nil
 }
 
-// planCandidates returns a candidate rowid set from an index, or nil when no
-// index applies and a full scan is needed.
-func (e *Engine) planCandidates(t *table, where expr, args []Value) []int64 {
-	conjuncts := flattenAnd(where)
-	for _, c := range conjuncts {
-		switch ex := c.(type) {
-		case *binExpr:
-			if ex.Op != "=" {
-				continue
-			}
-			col, val, ok := eqSides(t, ex, args)
-			if !ok {
-				continue
-			}
-			if ix := t.indexes[col]; ix != nil {
-				return ix.lookup(val)
-			}
-		case *inExpr:
-			cr, ok := ex.Target.(*colRef)
-			if !ok {
-				continue
-			}
-			ix := t.indexes[cr.Name]
-			if ix == nil {
-				continue
-			}
-			var ids []int64
-			ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
-			if ex.Spread {
-				for _, v := range ex.spreadArgs(ev) {
-					ids = append(ids, ix.lookup(v)...)
-				}
-			} else {
-				for _, le := range ex.List {
-					v, err := le.eval(ev)
-					if err != nil {
-						return nil
-					}
-					ids = append(ids, ix.lookup(v)...)
-				}
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			return dedupeIDs(ids)
-		}
-	}
-	return nil
-}
-
-// eqCardinality estimates, without materializing candidates, how many rows a
-// top-level `col = const` conjunct on a hash-indexed column pins the result
-// to. bounded is false when no such conjunct exists (the result could be the
-// whole table).
-func (e *Engine) eqCardinality(t *table, where expr, args []Value) (est int, bounded bool) {
-	for _, c := range flattenAnd(where) {
-		ex, ok := c.(*binExpr)
-		if !ok || ex.Op != "=" {
-			continue
-		}
-		col, val, ok := eqSides(t, ex, args)
-		if !ok {
-			continue
-		}
-		if ix := t.indexes[col]; ix != nil {
-			return len(ix.m[val.key()]), true
-		}
-	}
-	return 0, false
-}
-
-func dedupeIDs(ids []int64) []int64 {
-	out := ids[:0]
-	var last int64 = -1
-	for i, id := range ids {
-		if i == 0 || id != last {
-			out = append(out, id)
-		}
-		last = id
-	}
-	return out
-}
-
 func flattenAnd(ex expr) []expr {
 	b, ok := ex.(*binExpr)
 	if !ok || b.Op != "AND" {
@@ -579,50 +514,31 @@ func flattenAnd(ex expr) []expr {
 	return append(flattenAnd(b.L), flattenAnd(b.R)...)
 }
 
-// eqSides extracts (column, constant value) from `col = const` in either order.
-func eqSides(t *table, ex *binExpr, args []Value) (string, Value, bool) {
-	try := func(l, r expr) (string, Value, bool) {
-		cr, ok := l.(*colRef)
-		if !ok {
-			return "", Value{}, false
-		}
-		if _, exists := t.colIdx[cr.Name]; !exists {
-			return "", Value{}, false
-		}
-		switch rv := r.(type) {
-		case *litExpr:
-			return cr.Name, rv.V, true
-		case *paramExpr:
-			if rv.Idx < len(args) {
-				return cr.Name, args[rv.Idx], true
-			}
-		}
-		return "", Value{}, false
-	}
-	if col, v, ok := try(ex.L, ex.R); ok {
-		return col, v, true
-	}
-	return try(ex.R, ex.L)
-}
-
-func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
+func (e *Engine) execSelect(p *plan, st selectStmt, args []Value) (*Result, error) {
 	t, ok := e.tables[st.Table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
 	}
-
-	// Ordered top-n fast path: ORDER BY an ordered-indexed column with a
-	// LIMIT reads the index in key order and stops at n matches, replacing
-	// the scan-everything-then-sort pipeline below.
-	ids, fromIndex, err := e.orderedTopN(t, st, args)
+	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
+	limit, err := limitOf(&st, ev)
 	if err != nil {
 		return nil, err
 	}
-	if !fromIndex {
-		ids, err = e.matchIDs(t, st.Where, args)
-		if err != nil {
-			return nil, err
-		}
+	acc, err := e.pathFor(p, t, st.Where, &st).resolve(ev, limit)
+	if err != nil {
+		return nil, err
+	}
+	// An ordered walk reads the index in ORDER BY order and stops at the
+	// LIMIT, replacing the match-everything-then-sort pipeline below.
+	var ids []int64
+	fromIndex := acc.kind == accessOrdered
+	if fromIndex {
+		ids, err = orderedTopN(t, acc.path, st, ev, limit)
+	} else {
+		ids, err = matchIDs(t, acc, st.Where, ev)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Aggregate query?
@@ -675,19 +591,8 @@ func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
 				return false
 			})
 		}
-		if st.Limit != nil {
-			ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
-			lv, err := st.Limit.eval(ev)
-			if err != nil {
-				return nil, err
-			}
-			n := int(lv.AsInt())
-			if n < 0 {
-				n = 0
-			}
-			if n < len(ids) {
-				ids = ids[:n]
-			}
+		if st.Limit != nil && limit < len(ids) {
+			ids = ids[:limit]
 		}
 	}
 
@@ -698,8 +603,8 @@ func (e *Engine) execSelect(st selectStmt, args []Value) (*Result, error) {
 	for k, id := range ids {
 		row := t.rows[id]
 		out := flat[k*len(pos) : (k+1)*len(pos) : (k+1)*len(pos)]
-		for i, p := range pos {
-			out[i] = row[p]
+		for i, ci := range pos {
+			out[i] = row[ci]
 		}
 		res.Rows[k] = out
 	}
@@ -716,76 +621,34 @@ func runStart(sorted []ordEntry, i int) int {
 	return sort.Search(i, func(m int) bool { return sorted[m].v.Compare(v) >= 0 })
 }
 
-// orderedTopN serves SELECT ... [WHERE ...] ORDER BY k1 [DESC] [, k2 ...]
-// LIMIT n off the ordered index on k1, when one exists: rows are visited in
-// k1 order (runs of equal k1 sub-sorted by the remaining keys) and the scan
-// stops as soon as n rows matched the WHERE clause. fromIndex is false when
-// the query shape or schema rules the path out and the caller must fall back
-// to scan-and-sort. The trade: a highly selective WHERE over a huge table
-// pays an index scan proportional to the rows *visited*, not matched — the
-// EMEWS queue pops (filter by work_type, order by priority) match most of
-// what they visit, which is exactly the shape this path is for.
-func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64, fromIndex bool, err error) {
-	if len(st.OrderBy) == 0 || st.Limit == nil {
-		return nil, false, nil
+// limitOf evaluates a SELECT's LIMIT, clamped at 0; it is 0 when the
+// statement has none.
+func limitOf(st *selectStmt, ev *evalCtx) (int, error) {
+	if st.Limit == nil {
+		return 0, nil
 	}
-	if len(st.Cols) > 0 && st.Cols[0].Agg != "" {
-		return nil, false, nil
-	}
-	// Index selection: among ordered indexes leading with the first ORDER BY
-	// column, prefer a composite whose second column continues the ORDER BY
-	// ascending — its sorted side carries the full query order, so the scan
-	// streams matches and stops at n even when every row shares one first-key
-	// value (the uniform-priority queue case, where a single-column index
-	// degenerates into one whole-table run). A composite whose second column
-	// does not match the query is unusable here: its within-run order is not
-	// the insertion order the fallback sort would produce.
-	var ix, single *hashIndex
-	stream := false
-	for _, cand := range t.indexes {
-		if !cand.ordered || t.cols[cand.cols[0]].Name != st.OrderBy[0].Col {
-			continue
-		}
-		if len(cand.cols) == 1 {
-			single = cand
-			continue
-		}
-		if len(st.OrderBy) == 2 && t.cols[cand.cols[1]].Name == st.OrderBy[1].Col && !st.OrderBy[1].Desc {
-			ix, stream = cand, true
-		}
-	}
-	if ix == nil {
-		ix = single
-	}
-	if ix == nil {
-		return nil, false, nil
-	}
-	rest := st.OrderBy[1:]
-	restPos := make([]int, len(rest))
-	for i, k := range rest {
-		ci, ok := t.colIdx[k.Col]
-		if !ok {
-			return nil, false, fmt.Errorf("minisql: no column %q in table %q", k.Col, st.Table)
-		}
-		restPos[i] = ci
-	}
-	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
 	lv, err := st.Limit.eval(ev)
 	if err != nil {
-		return nil, false, err
+		return 0, err
 	}
-	n := int(lv.AsInt())
-	if n <= 0 {
-		return []int64{}, true, nil
-	}
-	// When an equality conjunct pins the result to a small hash-indexed
-	// candidate set, sorting those few candidates beats walking the ordered
-	// index past every non-matching row — leave the query to the fallback.
-	if est, bounded := e.eqCardinality(t, st.Where, args); bounded && est <= 4*n+16 {
-		return nil, false, nil
-	}
+	return max(int(lv.AsInt()), 0), nil
+}
 
-	sorted := ix.sorted
+// orderedTopN serves SELECT ... [WHERE ...] ORDER BY k1 [DESC] [, k2 ...]
+// LIMIT n by walking the ordered path's index: rows are visited in k1 order
+// (runs of equal k1 sub-sorted by the remaining keys) and the walk stops as
+// soon as n rows matched the WHERE clause. The trade: a highly selective
+// WHERE over a huge table pays a walk proportional to the rows *visited*,
+// not matched — which is why resolve hands a selective probe its own path.
+// The EMEWS queue pops (filter by work_type, order by priority) match most
+// of what they visit, which is exactly the shape this path is for.
+func orderedTopN(t *table, ap *accessPath, st selectStmt, ev *evalCtx, n int) (ids []int64, err error) {
+	ids = []int64{}
+	if n <= 0 {
+		return ids, nil
+	}
+	rest, restPos, stream := st.OrderBy[1:], ap.rest, ap.stream
+	sorted := ap.ix.sorted
 	desc := st.OrderBy[0].Desc
 
 	if stream {
@@ -814,7 +677,7 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64
 					}
 					ok, err := match(ent.id)
 					if err != nil {
-						return nil, false, err
+						return nil, err
 					}
 					if ok {
 						ids = append(ids, ent.id)
@@ -828,17 +691,14 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64
 			for i := 0; i < len(sorted) && len(ids) < n; i++ {
 				ok, err := match(sorted[i].id)
 				if err != nil {
-					return nil, false, err
+					return nil, err
 				}
 				if ok {
 					ids = append(ids, sorted[i].id)
 				}
 			}
 		}
-		if ids == nil {
-			ids = []int64{}
-		}
-		return ids, true, nil
+		return ids, nil
 	}
 
 	var group []int64
@@ -897,7 +757,7 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64
 		for i := len(sorted) - 1; i >= 0 && len(ids) < n; {
 			j := runStart(sorted, i) - 1
 			if err := flushRun(sorted[j+1 : i+1]); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			i = j
 		}
@@ -908,7 +768,7 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64
 				j++
 			}
 			if err := flushRun(sorted[i:j]); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			i = j
 		}
@@ -916,10 +776,7 @@ func (e *Engine) orderedTopN(t *table, st selectStmt, args []Value) (ids []int64
 	if len(ids) > n {
 		ids = ids[:n]
 	}
-	if ids == nil {
-		ids = []int64{}
-	}
-	return ids, true, nil
+	return ids, nil
 }
 
 func (e *Engine) execAggregate(t *table, st selectStmt, ids []int64) (*Result, error) {
@@ -993,12 +850,17 @@ func aggregate(op string, t *table, ids []int64, ci int) Value {
 	return acc
 }
 
-func (e *Engine) execUpdate(st updateStmt, args []Value) (*Result, error) {
+func (e *Engine) execUpdate(p *plan, st updateStmt, args []Value) (*Result, error) {
 	t, ok := e.tables[st.Table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
 	}
-	ids, err := e.matchIDs(t, st.Where, args)
+	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
+	acc, err := e.pathFor(p, t, st.Where, nil).resolve(ev, 0)
+	if err != nil {
+		return nil, err
+	}
+	ids, err := matchIDs(t, acc, st.Where, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -1010,7 +872,6 @@ func (e *Engine) execUpdate(st updateStmt, args []Value) (*Result, error) {
 		}
 		setPos[i] = ci
 	}
-	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
 	res := &Result{}
 	for _, id := range ids {
 		old := t.rows[id]
@@ -1031,12 +892,17 @@ func (e *Engine) execUpdate(st updateStmt, args []Value) (*Result, error) {
 	return res, nil
 }
 
-func (e *Engine) execDelete(st deleteStmt, args []Value) (*Result, error) {
+func (e *Engine) execDelete(p *plan, st deleteStmt, args []Value) (*Result, error) {
 	t, ok := e.tables[st.Table]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, st.Table)
 	}
-	ids, err := e.matchIDs(t, st.Where, args)
+	ev := &evalCtx{tbl: t, args: args, spreadN: e.spreadN}
+	acc, err := e.pathFor(p, t, st.Where, nil).resolve(ev, 0)
+	if err != nil {
+		return nil, err
+	}
+	ids, err := matchIDs(t, acc, st.Where, ev)
 	if err != nil {
 		return nil, err
 	}
@@ -1080,6 +946,16 @@ func (c *colRef) eval(ev *evalCtx) (Value, error) {
 func (l *litExpr) eval(*evalCtx) (Value, error) { return l.V, nil }
 
 func (p *paramExpr) eval(ev *evalCtx) (Value, error) {
+	idx, err := p.argIndex(ev)
+	if err != nil {
+		return Value{}, err
+	}
+	return ev.args[idx], nil
+}
+
+// argIndex is the position of the argument the parameter binds to in this
+// execution.
+func (p *paramExpr) argIndex(ev *evalCtx) (int, error) {
 	idx := p.Idx
 	if p.AfterSpread {
 		// Fixed parameters after an IN (?...) spread shift right by however
@@ -1087,10 +963,10 @@ func (p *paramExpr) eval(ev *evalCtx) (Value, error) {
 		idx += ev.spreadN
 	}
 	if idx >= len(ev.args) {
-		return Value{}, fmt.Errorf("minisql: statement needs at least %d arguments, got %d",
+		return 0, fmt.Errorf("minisql: statement needs at least %d arguments, got %d",
 			idx+1, len(ev.args))
 	}
-	return ev.args[idx], nil
+	return idx, nil
 }
 
 func (b *binExpr) eval(ev *evalCtx) (Value, error) {

@@ -14,15 +14,18 @@ import (
 const planCacheSize = 512
 
 // plan is one cached parse result: the immutable statement AST, its fixed
-// positional-parameter count, and whether it contains a spread IN (?...)
-// list. The AST is shared by every execution of the same SQL text — execution
-// never mutates it (column binding happens at exec time against the live
-// table, spread widths bind per execution), which is what makes the share
-// safe.
+// positional-parameter count, whether it contains a spread IN (?...) list,
+// and the statement's access path (access.go). The AST is shared by every
+// execution of the same SQL text — execution never mutates it (column
+// binding happens at exec time against the live table, spread widths bind
+// per execution), which is what makes the share safe. The access path is
+// planned on first execution and read and written only under the engine
+// lock; it is stamped with the schema generation it was planned against.
 type plan struct {
 	stmt    any
 	nparams int
 	spread  bool
+	path    *accessPath
 }
 
 // planCache is an LRU of parsed statements keyed by exact SQL text. It has
@@ -39,7 +42,7 @@ type planCache struct {
 
 type planNode struct {
 	sql string
-	p   plan
+	p   *plan
 }
 
 func newPlanCache() *planCache {
@@ -47,12 +50,12 @@ func newPlanCache() *planCache {
 }
 
 // get returns the cached plan for sql, if any.
-func (c *planCache) get(sql string) (plan, bool) {
+func (c *planCache) get(sql string) (*plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.ent[sql]
 	if !ok {
-		return plan{}, false
+		return nil, false
 	}
 	c.lru.MoveToFront(el)
 	return el.Value.(*planNode).p, true
@@ -60,7 +63,7 @@ func (c *planCache) get(sql string) (plan, bool) {
 
 // put stores a parse result, evicting the least recently used entry at
 // capacity.
-func (c *planCache) put(sql string, p plan) {
+func (c *planCache) put(sql string, p *plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.ent[sql]; ok {
@@ -78,9 +81,8 @@ func (c *planCache) put(sql string, p plan) {
 }
 
 // purge evicts everything. Called on DDL (CREATE/DROP TABLE, CREATE INDEX)
-// and snapshot Restore: parsed ASTs are schema-independent today, but a plan
-// that outlives the schema it was first executed against is a standing
-// invitation for stale-binding bugs the moment plans grow binding state, so
+// and snapshot Restore: parsed ASTs are schema-independent, but a plan's
+// access path names the indexes of the schema it was planned against, so
 // the cache is invalidated wholesale at every schema boundary.
 func (c *planCache) purge() {
 	c.mu.Lock()
@@ -105,7 +107,7 @@ func (c *planCache) len() int {
 // stored as an alias of the normalized plan, so a caller that renders
 // `IN (?, ?, ?)` per batch width parses once per statement shape and every
 // width shares the same immutable AST.
-func (e *Engine) cachedParse(sql string) (plan, error) {
+func (e *Engine) cachedParse(sql string) (*plan, error) {
 	if p, ok := e.plans.get(sql); ok {
 		e.plans.hits.Add(1)
 		return p, nil
@@ -121,9 +123,9 @@ func (e *Engine) cachedParse(sql string) (plan, error) {
 	e.plans.misses.Add(1)
 	stmt, nparams, spread, err := parse(norm)
 	if err != nil {
-		return plan{}, err
+		return nil, err
 	}
-	p := plan{stmt: stmt, nparams: nparams, spread: spread}
+	p := &plan{stmt: stmt, nparams: nparams, spread: spread}
 	e.plans.put(norm, p)
 	if norm != sql {
 		e.plans.put(sql, p)

@@ -147,6 +147,6 @@ func (e *Engine) Restore(r io.Reader) error {
 	e.tables = tables
 	// The restore is a wholesale schema replacement; stale plans must not
 	// survive it any more than they survive a DDL statement.
-	e.plans.purge()
+	e.schemaChangedLocked()
 	return nil
 }

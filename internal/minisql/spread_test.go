@@ -155,30 +155,43 @@ func TestTwoParamINLists(t *testing.T) {
 	}
 }
 
-// TestSpreadINIndexedLookup: the spread list still drives the hash-index
-// candidate plan rather than a full scan — observed through a working WHERE
-// over a primary-key column (behavioral check plus a direct planCandidates
-// probe).
+// TestSpreadINIndexedLookup: the spread list still drives the primary-key
+// probe rather than a full scan — observed through a working WHERE over a
+// primary-key column (behavioral check plus the resolved access path and
+// its candidate set).
 func TestSpreadINIndexedLookup(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, "CREATE TABLE q (id INTEGER PRIMARY KEY, v TEXT)")
 	for i := 1; i <= 100; i++ {
 		mustExec(t, e, "INSERT INTO q (id, v) VALUES (?, ?)", i, fmt.Sprintf("v%d", i))
 	}
-	p, err := e.cachedParse("DELETE FROM q WHERE id IN (?...)")
+	const del = "DELETE FROM q WHERE id IN (?...)"
+	p, err := e.cachedParse(del)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := p.stmt.(deleteStmt)
 	e.mu.Lock()
-	e.spreadN = 3
-	ids := e.planCandidates(e.tables["q"], st.Where, []Value{Int64(7), Int64(3), Int64(99)})
+	tbl := e.tables["q"]
+	ev := &evalCtx{tbl: tbl, args: []Value{Int64(7), Int64(3), Int64(99)}, spreadN: 3}
+	acc, err := e.pathFor(p, tbl, st.Where, nil).resolve(ev, 0)
+	var ids []int64
+	if err == nil {
+		ids = acc.ids(tbl)
+	}
 	e.mu.Unlock()
-	// planCandidates returns internal rowids (0-based insertion ids here):
-	// task ids 3, 7, 99 occupy rowids 2, 6, 98. The point is the set is 3
-	// indexed hits, not a 100-row scan (a scan-fallback returns nil).
-	if fmt.Sprint(ids) != "[2 6 98]" {
-		t.Fatalf("planCandidates over spread IN = %v, want the indexed candidate set [2 6 98]", ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The probe returns internal rowids (0-based insertion ids here): task
+	// ids 3, 7, 99 occupy rowids 2, 6, 98. The point is the set is 3 indexed
+	// hits, not a 100-row scan.
+	if acc.String() != "pk q(id)" || fmt.Sprint(ids) != "[2 6 98]" {
+		t.Fatalf("spread IN resolved to %s with candidates %v, want pk q(id) with [2 6 98]", acc, ids)
+	}
+	res := mustExec(t, e, del, 7, 3, 99)
+	if res.RowsAffected != 3 {
+		t.Fatalf("spread IN delete affected %d rows, want 3", res.RowsAffected)
 	}
 }
 

@@ -48,15 +48,15 @@ type Store struct {
 
 	mu          sync.Mutex
 	term        uint64
-	appliedTerm uint64 // leadership term that produced the newest applied entry
-	view        []byte // opaque membership view owned by the replication layer
-	checkIndex uint64    // index of the newest on-disk checkpoint
-	prevIndex  uint64    // index of the retained previous checkpoint
-	checkAt    time.Time // when the newest checkpoint was written (or recovery time)
-	sinceCheck uint64    // entries appended since the newest checkpoint
-	source     func(w io.Writer) (uint64, error)
-	written    uint64 // checkpoints written (metrics)
-	cpErr      error  // last checkpoint failure (surfaced in stats/status)
+	appliedTerm uint64    // leadership term that produced the newest applied entry
+	view        []byte    // opaque membership view owned by the replication layer
+	checkIndex  uint64    // index of the newest on-disk checkpoint
+	prevIndex   uint64    // index of the retained previous checkpoint
+	checkAt     time.Time // when the newest checkpoint was written (or recovery time)
+	sinceCheck  uint64    // entries appended since the newest checkpoint
+	source      func(w io.Writer) (uint64, error)
+	written     uint64 // checkpoints written (metrics)
+	cpErr       error  // last checkpoint failure (surfaced in stats/status)
 
 	ckptReq chan struct{}
 	closeCh chan struct{}

@@ -2,19 +2,21 @@ package minisql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // table is the in-memory storage for one relation. Rows are keyed by a
-// monotonically increasing rowid; insertion order is preserved for scans so
-// that unordered SELECTs are deterministic.
+// monotonically increasing rowid, and scans visit them in rowid order — the
+// order index probes return too — so unordered SELECTs are deterministic
+// whichever access path serves them.
 type table struct {
 	name    string
 	cols    []ColumnDef
 	colIdx  map[string]int
 	rows    map[int64][]Value
-	order   []int64 // insertion order; may contain tombstoned ids
+	order   []int64 // ascending rowids; may contain tombstoned ids
 	tomb    map[int64]struct{}
 	dead    int // count of tombstoned entries in order
 	nextRow int64
@@ -201,20 +203,6 @@ func (ix *hashIndex) remove(ent ordEntry) {
 	}
 }
 
-// lookup returns the rowids matching value v in ascending rowid order.
-func (ix *hashIndex) lookup(v Value) []int64 {
-	set := ix.m[v.key()]
-	if len(set) == 0 {
-		return nil
-	}
-	ids := make([]int64, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // insert stores a full-width row and maintains indexes. The caller has
 // already applied column defaults and autoincrement.
 func (t *table) insert(row []Value) int64 {
@@ -230,14 +218,16 @@ func (t *table) insert(row []Value) int64 {
 
 // insertAt restores a row under a previous rowid (transaction rollback).
 // If the rowid is still tombstoned in the order slice, it is revived in
-// place rather than appended, so order never holds duplicates.
+// place, so order never holds duplicates; if compaction already dropped it,
+// it goes back at its sorted position, so scans keep rowid order.
 func (t *table) insertAt(id int64, row []Value) {
 	t.rows[id] = row
 	if _, tombed := t.tomb[id]; tombed {
 		delete(t.tomb, id)
 		t.dead--
 	} else {
-		t.order = append(t.order, id)
+		i, _ := slices.BinarySearch(t.order, id)
+		t.order = slices.Insert(t.order, i, id)
 	}
 	if id >= t.nextRow {
 		t.nextRow = id + 1
@@ -304,7 +294,7 @@ func (t *table) maybeCompact() {
 	t.tomb = make(map[int64]struct{})
 }
 
-// scanIDs returns all live rowids in insertion order.
+// scanIDs returns all live rowids in ascending order.
 func (t *table) scanIDs() []int64 {
 	ids := make([]int64, 0, len(t.rows))
 	for _, id := range t.order {

@@ -143,21 +143,33 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// key returns a canonical map key for hash indexing.
+// key returns a canonical map key for hash indexing. Text keys concatenate
+// in one allocation; the other kinds render into a stack buffer first.
 func (v Value) key() string {
+	if v.Kind == KindText {
+		return "t" + v.Text
+	}
+	var buf [24]byte
+	return string(v.appendKey(buf[:0]))
+}
+
+// appendKey appends v's canonical hash key to b. Index probes look keys up
+// as m[string(v.appendKey(buf))], which the compiler performs without
+// allocating the string.
+func (v Value) appendKey(b []byte) []byte {
 	switch v.Kind {
 	case KindNull:
-		return "n"
+		return append(b, 'n')
 	case KindInt:
-		return "i" + strconv.FormatInt(v.Int, 10)
+		return strconv.AppendInt(append(b, 'i'), v.Int, 10)
 	case KindFloat:
 		// Integral floats hash like ints so 1 and 1.0 collide as SQL expects.
 		if v.Float == float64(int64(v.Float)) {
-			return "i" + strconv.FormatInt(int64(v.Float), 10)
+			return strconv.AppendInt(append(b, 'i'), int64(v.Float), 10)
 		}
-		return "f" + strconv.FormatFloat(v.Float, 'b', -1, 64)
+		return strconv.AppendFloat(append(b, 'f'), v.Float, 'b', -1, 64)
 	default:
-		return "t" + v.Text
+		return append(append(b, 't'), v.Text...)
 	}
 }
 

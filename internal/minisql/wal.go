@@ -83,11 +83,8 @@ func (e *Engine) ApplyEntry(entry LogEntry) error {
 			e.inTx = false
 			return fmt.Errorf("minisql: apply entry %d: %w", entry.Index, err)
 		}
-		e.spreadN = 0
-		if p.spread && len(s.Args) > p.nparams {
-			e.spreadN = len(s.Args) - p.nparams
-		}
-		if _, err := e.execLocked(p.stmt, s.Args, s.SQL); err != nil {
+		e.spreadN = spreadWidth(p, s.Args)
+		if _, err := e.execLocked(p, s.Args, s.SQL); err != nil {
 			e.rollbackLocked()
 			e.inTx = false
 			return fmt.Errorf("minisql: apply entry %d: %w", entry.Index, err)

@@ -166,15 +166,15 @@ type Node struct {
 	// (appliedTerm, applied) ordered lexicographically decides both the
 	// election log gate and whether a join may resume incrementally.
 	appliedTerm uint64
-	wal       *minisql.WAL
-	peers     map[string]Peer
-	leader    Peer
-	followers map[string]*followerConn
-	contact   map[string]time.Time // last ack/join/probe heard from each peer
-	leaseRef  time.Time            // lease grace: no demotion before this
-	stream    net.Conn             // follower's live connection to the leader
-	started   bool
-	closed    bool
+	wal         *minisql.WAL
+	peers       map[string]Peer
+	leader      Peer
+	followers   map[string]*followerConn
+	contact     map[string]time.Time // last ack/join/probe heard from each peer
+	leaseRef    time.Time            // lease grace: no demotion before this
+	stream      net.Conn             // follower's live connection to the leader
+	started     bool
+	closed      bool
 	// standDownUntil suppresses this node's own candidacy after StepDown:
 	// a node that vacated leadership deliberately must not stand in the
 	// election it just triggered, or it would often win leadership straight
@@ -194,7 +194,7 @@ type Node struct {
 	closeCh   chan struct{}
 
 	committedSeen uint64 // newest quorum watermark fanned out via commitCh
-	wg        sync.WaitGroup
+	wg            sync.WaitGroup
 
 	// everJoined records that this node recovered a multi-member membership
 	// view from disk: it has provably been part of the cluster, so it may
