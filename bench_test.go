@@ -11,7 +11,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1131,19 +1133,24 @@ func BenchmarkSubmitSingle750(b *testing.B) {
 // all-watch subscribers each receive every committed transition. One
 // iteration is one commit classified into one queued transition, delivered
 // to all 16 — the in-process cost a node pays per commit to keep its push
-// streams current, before any wire framing.
+// streams current, before any wire framing. The loop waits for the
+// subscribers to drain every drainEvery commits, half their buffer: a
+// subscriber whose buffer fills is closed (ErrOverflow), and every commit
+// after that would time a hub with nobody left to deliver to.
 func BenchmarkWatchDispatch(b *testing.B) {
 	hub := watch.NewHub(0, nil)
-	const subscribers = 16
+	const subscribers, buf, drainEvery = 16, 1024, 512
 	var wg sync.WaitGroup
+	var received atomic.Int64 // batches taken off all subscriber channels
 	subs := make([]*watch.Sub, subscribers)
 	for i := range subs {
-		sub, _, _, _ := hub.Subscribe(watch.Query{All: true}, 1024)
+		sub, _, _, _ := hub.Subscribe(watch.Query{All: true}, buf)
 		subs[i] = sub
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for range sub.C {
+				received.Add(1)
 			}
 		}()
 	}
@@ -1152,12 +1159,20 @@ func BenchmarkWatchDispatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hub.Commit(uint64(i+1), trs)
+		if (i+1)%drainEvery == 0 {
+			for received.Load() < int64(subscribers*(i+1)) {
+				runtime.Gosched()
+			}
+		}
 	}
 	b.StopTimer()
 	for _, s := range subs {
 		s.Close()
 	}
 	wg.Wait()
+	if got, want := received.Load(), int64(subscribers*b.N); got != want {
+		b.Fatalf("subscribers received %d batches, want %d: a subscription overflowed", got, want)
+	}
 }
 
 // benchWatchWakeSetup starts a standalone service and a connected client for

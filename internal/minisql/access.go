@@ -411,15 +411,6 @@ func (ix *hashIndex) set(v Value, typ ColType) map[int64]struct{} {
 // lookup returns the rowids indexed under the probe values, ascending and
 // without duplicates: empty, never nil, when no value is present.
 func (ix *hashIndex) lookup(vals []Value, typ ColType) []int64 {
-	if len(vals) == 1 {
-		set := ix.set(vals[0], typ)
-		ids := make([]int64, 0, len(set))
-		for id := range set {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		return ids
-	}
 	ids := []int64{}
 	for _, v := range vals {
 		for id := range ix.set(v, typ) {

@@ -3,6 +3,7 @@ package minisql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -332,6 +333,7 @@ func (e *Engine) rollbackLocked() {
 // rollbackToLocked unwinds undo entries down to mark (a statement-level
 // savepoint), leaving earlier entries in place.
 func (e *Engine) rollbackToLocked(mark int) {
+	var resort map[*table]bool // tables whose order slice got rows appended
 	for i := len(e.undo) - 1; i >= mark; i-- {
 		op := e.undo[i]
 		t := e.tables[op.table]
@@ -347,10 +349,18 @@ func (e *Engine) rollbackToLocked(mark int) {
 			// diverge across the cluster.
 			t.nextKey = op.nextKey
 		case undoDelete:
-			t.insertAt(op.rowid, op.row)
+			if t.insertAt(op.rowid, op.row) {
+				if resort == nil {
+					resort = make(map[*table]bool)
+				}
+				resort[t] = true
+			}
 		case undoUpdate:
 			t.update(op.rowid, op.row)
 		}
+	}
+	for t := range resort {
+		slices.Sort(t.order)
 	}
 	e.undo = e.undo[:mark]
 }

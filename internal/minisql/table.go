@@ -2,7 +2,6 @@ package minisql
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -219,15 +218,16 @@ func (t *table) insert(row []Value) int64 {
 // insertAt restores a row under a previous rowid (transaction rollback).
 // If the rowid is still tombstoned in the order slice, it is revived in
 // place, so order never holds duplicates; if compaction already dropped it,
-// it goes back at its sorted position, so scans keep rowid order.
-func (t *table) insertAt(id int64, row []Value) {
+// it is appended and insertAt reports true: the caller sorts order once it
+// has restored every row, so scans keep rowid order.
+func (t *table) insertAt(id int64, row []Value) (appended bool) {
 	t.rows[id] = row
 	if _, tombed := t.tomb[id]; tombed {
 		delete(t.tomb, id)
 		t.dead--
 	} else {
-		i, _ := slices.BinarySearch(t.order, id)
-		t.order = slices.Insert(t.order, i, id)
+		t.order = append(t.order, id)
+		appended = true
 	}
 	if id >= t.nextRow {
 		t.nextRow = id + 1
@@ -235,6 +235,7 @@ func (t *table) insertAt(id int64, row []Value) {
 	for _, ix := range t.indexes {
 		ix.add(ix.entry(row, id))
 	}
+	return appended
 }
 
 func (t *table) delete(id int64) []Value {

@@ -238,6 +238,11 @@ func TestWatchFailoverResume(t *testing.T) {
 	defer func() { srv2.Close(); n2.Close() }()
 	n3, srv3 := startClusterNode(t, "n3", 1, n1.Addr())
 	defer func() { srv3.Close(); n3.Close() }()
+	// A follower resets its watch hub when it installs its join snapshot,
+	// ending every stream opened on it before then.
+	waitCond(t, "membership converged", func() bool {
+		return len(n2.Peers()) == 3 && len(n3.Peers()) == 3
+	})
 
 	cc, err := DialCluster(srv1.Addr(), srv2.Addr(), srv3.Addr())
 	if err != nil {
@@ -350,6 +355,16 @@ func TestWatchClusterStreamResubscribe(t *testing.T) {
 	}
 	submit(5)
 	evs := collectN(t, st, 5, 5*time.Second)
+
+	// Both followers must have joined and applied every acknowledged write
+	// before the leader dies: asynchronous shipping loses unshipped commits
+	// with it, and a node that never joined does not stand for election.
+	waitCond(t, "followers caught up", func() bool {
+		return n2.Applied() == n1.Applied() && n3.Applied() == n1.Applied()
+	})
+	waitCond(t, "membership converged", func() bool {
+		return len(n2.Peers()) == 3 && len(n3.Peers()) == 3
+	})
 
 	srv1.Close()
 	n1.Close()
