@@ -964,16 +964,3 @@ func (db *DB) GetTask(ctx context.Context, taskID int64, opts ...ReadOption) (Ta
 		Stopped:  time.Unix(0, r[9].AsInt()),
 	}, nil
 }
-
-// QueueLengths reports the output and input queue depths (monitoring).
-func (db *DB) QueueLengths() (out, in int, err error) {
-	o, err := db.eng.Exec("SELECT COUNT(*) FROM eq_out_q")
-	if err != nil {
-		return 0, 0, err
-	}
-	i, err := db.eng.Exec("SELECT COUNT(*) FROM eq_in_q")
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(o.Rows[0][0].AsInt()), int(i.Rows[0][0].AsInt()), nil
-}

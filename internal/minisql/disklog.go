@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"osprey/internal/codec"
 )
 
 // Disk log record framing: every LogEntry is one length-prefixed record
@@ -37,12 +38,16 @@ const (
 // or malformed encoding. During recovery it means "valid log ends here".
 var errCorrupt = errors.New("minisql: corrupt log record")
 
-func encodeEntry(buf []byte, e LogEntry) []byte {
+// AppendEntry appends the payload encoding of e to buf: uvarint index,
+// statement count, then per statement the SQL text and its arguments, each a
+// kind byte followed by the value (varint, 8-byte float, or length-prefixed
+// text; nothing for NULL). The encoding is self-delimiting, so replication
+// frames carry entries in it back to back.
+func AppendEntry(buf []byte, e LogEntry) []byte {
 	buf = binary.AppendUvarint(buf, e.Index)
 	buf = binary.AppendUvarint(buf, uint64(len(e.Stmts)))
 	for _, s := range e.Stmts {
-		buf = binary.AppendUvarint(buf, uint64(len(s.SQL)))
-		buf = append(buf, s.SQL...)
+		buf = codec.AppendString(buf, s.SQL)
 		buf = binary.AppendUvarint(buf, uint64(len(s.Args)))
 		for _, v := range s.Args {
 			buf = append(buf, byte(v.Kind))
@@ -50,111 +55,51 @@ func encodeEntry(buf []byte, e LogEntry) []byte {
 			case KindInt:
 				buf = binary.AppendVarint(buf, v.Int)
 			case KindFloat:
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float))
+				buf = codec.AppendFloat64(buf, v.Float)
 			case KindText:
-				buf = binary.AppendUvarint(buf, uint64(len(v.Text)))
-				buf = append(buf, v.Text...)
+				buf = codec.AppendString(buf, v.Text)
 			}
 		}
 	}
 	return buf
 }
 
-type entryReader struct{ b []byte }
-
-func (r *entryReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, errCorrupt
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *entryReader) varint() (int64, error) {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		return 0, errCorrupt
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *entryReader) bytes(n uint64) ([]byte, error) {
-	if n > uint64(len(r.b)) {
-		return nil, errCorrupt
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out, nil
-}
-
-func decodeEntry(payload []byte) (LogEntry, error) {
-	r := entryReader{b: payload}
-	var e LogEntry
-	var err error
-	if e.Index, err = r.uvarint(); err != nil {
-		return e, err
-	}
-	nStmts, err := r.uvarint()
-	if err != nil || nStmts > uint64(len(r.b)) {
-		return e, errCorrupt
-	}
-	e.Stmts = make([]Stmt, 0, nStmts)
-	for i := uint64(0); i < nStmts; i++ {
-		var s Stmt
-		slen, err := r.uvarint()
-		if err != nil {
-			return e, err
+// DecodeEntry reads one AppendEntry encoding from d. A torn or malformed
+// entry (including an unknown value kind) sets d's error.
+func DecodeEntry(d *codec.Dec) LogEntry {
+	e := LogEntry{Index: d.Uvarint()}
+	e.Stmts = make([]Stmt, d.Count())
+	for i := range e.Stmts {
+		s := &e.Stmts[i]
+		s.SQL = d.Str()
+		if n := d.Count(); n > 0 {
+			s.Args = make([]Value, n)
 		}
-		sql, err := r.bytes(slen)
-		if err != nil {
-			return e, err
-		}
-		s.SQL = string(sql)
-		nArgs, err := r.uvarint()
-		if err != nil || nArgs > uint64(len(r.b))+1 {
-			return e, errCorrupt
-		}
-		if nArgs > 0 {
-			s.Args = make([]Value, 0, nArgs)
-		}
-		for j := uint64(0); j < nArgs; j++ {
-			kb, err := r.bytes(1)
-			if err != nil {
-				return e, err
-			}
-			v := Value{Kind: Kind(kb[0])}
+		for j := range s.Args {
+			v := &s.Args[j]
+			v.Kind = Kind(d.Byte())
 			switch v.Kind {
 			case KindNull:
 			case KindInt:
-				if v.Int, err = r.varint(); err != nil {
-					return e, err
-				}
+				v.Int = d.Varint()
 			case KindFloat:
-				fb, err := r.bytes(8)
-				if err != nil {
-					return e, err
-				}
-				v.Float = math.Float64frombits(binary.LittleEndian.Uint64(fb))
+				v.Float = d.Float64()
 			case KindText:
-				tlen, err := r.uvarint()
-				if err != nil {
-					return e, err
-				}
-				tb, err := r.bytes(tlen)
-				if err != nil {
-					return e, err
-				}
-				v.Text = string(tb)
+				v.Text = d.Str()
 			default:
-				return e, errCorrupt
+				d.Fail()
 			}
-			s.Args = append(s.Args, v)
 		}
-		e.Stmts = append(e.Stmts, s)
 	}
-	if len(r.b) != 0 {
+	return e
+}
+
+// decodeEntry decodes a record payload, which holds exactly one entry.
+func decodeEntry(payload []byte) (LogEntry, error) {
+	var d codec.Dec
+	d.Reset(payload)
+	e := DecodeEntry(&d)
+	if !d.Done() {
 		return e, errCorrupt
 	}
 	return e, nil
@@ -402,7 +347,7 @@ func (d *DiskLog) Append(entries ...LogEntry) error {
 			}
 		}
 		s := &d.segs[len(d.segs)-1]
-		d.encBuf = appendRecord(d.encBuf[:0], encodeEntry(nil, e))
+		d.encBuf = appendRecord(d.encBuf[:0], AppendEntry(nil, e))
 		if _, err := d.w.Write(d.encBuf); err != nil {
 			d.err = err
 			return err

@@ -35,7 +35,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		{Index: 7, Stmts: []Stmt{{SQL: "DELETE FROM t"}}},
 		{Index: 1 << 40, Stmts: nil},
 	} {
-		buf := encodeEntry(nil, e)
+		buf := AppendEntry(nil, e)
 		got, err := decodeEntry(buf)
 		if err != nil {
 			t.Fatalf("decode entry %d: %v", e.Index, err)

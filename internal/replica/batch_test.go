@@ -1,21 +1,18 @@
 package replica
 
 import (
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
 )
 
 // fakeFollower is a hand-rolled replication peer: it joins the leader over
-// raw gob and lets the test control exactly when entries are "applied" and
+// raw frames and lets the test control exactly when entries are "applied" and
 // acked, which is how the batching tests observe frame boundaries the real
 // follower hides.
 type fakeFollower struct {
 	t    *testing.T
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	conn *frameConn
 }
 
 func joinFake(t *testing.T, addr string, id string, term, from uint64) *fakeFollower {
@@ -25,10 +22,10 @@ func joinFake(t *testing.T, addr string, id string, term, from uint64) *fakeFoll
 		t.Fatal(err)
 	}
 	conn.SetDeadline(time.Now().Add(waitMax))
-	f := &fakeFollower{t: t, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	f := &fakeFollower{t: t, conn: newFrameConn(conn)}
 	join := frame{Type: frameJoin, Term: term, AppliedTerm: term, From: from,
 		Peer: Peer{ID: id, ReplAddr: "127.0.0.1:1", SvcAddr: "svc-" + id}}
-	if err := f.enc.Encode(&join); err != nil {
+	if err := f.conn.send(&join); err != nil {
 		t.Fatal(err)
 	}
 	hello := f.next()
@@ -41,7 +38,7 @@ func joinFake(t *testing.T, addr string, id string, term, from uint64) *fakeFoll
 func (f *fakeFollower) next() frame {
 	f.t.Helper()
 	var fr frame
-	if err := f.dec.Decode(&fr); err != nil {
+	if err := f.conn.recv(&fr); err != nil {
 		f.t.Fatalf("fake follower read: %v", err)
 	}
 	return fr
@@ -52,7 +49,7 @@ func (f *fakeFollower) nextEntries() frame {
 	f.t.Helper()
 	for {
 		fr := f.next()
-		if fr.Type == frameEntries || fr.Type == frameEntry {
+		if fr.Type == frameEntries {
 			return fr
 		}
 	}
@@ -60,7 +57,7 @@ func (f *fakeFollower) nextEntries() frame {
 
 func (f *fakeFollower) ack(applied uint64) {
 	f.t.Helper()
-	if err := f.enc.Encode(&frame{Type: frameAck, Applied: applied}); err != nil {
+	if err := f.conn.send(&frame{Type: frameAck, Applied: applied}); err != nil {
 		f.t.Fatal(err)
 	}
 }

@@ -120,7 +120,19 @@ func TestClusterFullRestartPreservesState(t *testing.T) {
 // follower converges and the cluster keeps going.
 func TestLaggedFollowerServedFromDiskLog(t *testing.T) {
 	base := t.TempDir()
-	leader := newDurableNode(t, "n1", 3, "", filepath.Join(base, "n1"))
+	// The leader of this two-node cluster writes 600 entries while its only
+	// follower is down; a lease long enough to outlast them keeps it from
+	// stepping down (and dropping its WAL) before the rejoin under test.
+	leader, err := New(Config{
+		ID: "n1", Priority: 3, Heartbeat: beat, ElectionTimeout: elect,
+		LeaseTimeout: waitMax, DataDir: filepath.Join(base, "n1"), CheckpointEvery: 16,
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.SetServiceAddr("svc-n1")
+	leader.Start()
 	defer leader.Close()
 	folDir := filepath.Join(base, "n2")
 	fol := newDurableNode(t, "n2", 2, leader.Addr(), folDir)

@@ -2,10 +2,8 @@ package replica
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"osprey/internal/minisql"
@@ -100,37 +98,36 @@ var (
 // pointed at a different leader. forceSnap requests a snapshot bootstrap
 // even when an incremental resume would be possible.
 func (n *Node) followOnce(addr string, joined *bool, forceSnap bool) (redirect string, err error) {
-	conn, err := n.dial(addr, n.cfg.ElectionTimeout)
+	c, err := n.dial(addr, n.cfg.ElectionTimeout)
 	if err != nil {
 		return "", err
 	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		conn.Close()
+		c.Close()
 		return "", errors.New("replica: node closed")
 	}
-	n.stream = conn
+	n.stream = c
 	self := n.selfPeerLocked()
 	applied, term, appliedTerm := n.applied, n.term, n.appliedTerm
 	n.mu.Unlock()
 	defer func() {
-		conn.Close()
+		c.Close()
 		n.mu.Lock()
-		if n.stream == conn {
+		if n.stream == c {
 			n.stream = nil
 		}
 		n.mu.Unlock()
 	}()
 
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	conn := newFrameConn(c)
 	from := applied
 	if forceSnap {
 		from = 0
 	}
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	if err := enc.Encode(&frame{Type: frameJoin, Peer: self, From: from, Term: term, AppliedTerm: appliedTerm}); err != nil {
+	if err := conn.send(&frame{Type: frameJoin, Peer: self, From: from, Term: term, AppliedTerm: appliedTerm}); err != nil {
 		return "", err
 	}
 
@@ -142,7 +139,7 @@ func (n *Node) followOnce(addr string, joined *bool, forceSnap bool) (redirect s
 		conn.SetReadDeadline(time.Now().Add(readDeadline))
 		readDeadline = 2 * n.cfg.ElectionTimeout
 		var f frame
-		if err := dec.Decode(&f); err != nil {
+		if err := conn.recv(&f); err != nil {
 			return "", err
 		}
 		if f.Type != frameNotLeader {
@@ -158,22 +155,13 @@ func (n *Node) followOnce(addr string, joined *bool, forceSnap bool) (redirect s
 		}
 		switch f.Type {
 		case frameNotLeader:
-			return f.LeaderRepl, nil
+			return f.Leader.ReplAddr, nil
 		case frameSnapshot:
 			if err := n.applySnapshot(f); err != nil {
 				return "", err
 			}
 			*joined = true
-			n.ack(enc, conn)
-		case frameEntry:
-			ok, err := n.applyOne(f.Entry)
-			if err != nil {
-				return "", err
-			}
-			if ok {
-				n.noteAppliedTerm(f.Term)
-				n.ack(enc, conn)
-			}
+			n.ack(conn)
 		case frameEntries:
 			ok, err := n.applyEntriesFrame(f)
 			if err != nil {
@@ -185,59 +173,77 @@ func (n *Node) followOnce(addr string, joined *bool, forceSnap bool) (redirect s
 			n.db.AdvanceWatch(f.Committed)
 			if ok {
 				n.noteAppliedTerm(f.Term)
-				n.ack(enc, conn)
+				n.ack(conn)
 			}
 		case frameHeartbeat:
-			if err := n.adoptView(f); err != nil {
+			n.mu.Lock()
+			err := n.adoptViewLocked(f)
+			n.mu.Unlock()
+			if err != nil {
 				return "", err
 			}
 			n.db.AdvanceWatch(f.Committed)
-			n.ack(enc, conn)
+			n.ack(conn)
 		}
 	}
 }
 
 // ack reports this follower's applied high-water mark back to the leader.
-// On a durable node with fsync enabled the ack waits until that index is
-// actually on disk first — ack-after-fsync ordering, so the leader's quorum
-// watermark only ever counts follower state that survives a crash. One wait
-// covers a whole batched entries frame, riding the same group-commit
-// economics as the leader's fsync. A follower whose disk cannot keep its
-// promise drops the stream instead of lying.
-func (n *Node) ack(enc *gob.Encoder, conn net.Conn) {
+// On a durable node the ack first checks that the index is on disk, so the
+// leader's quorum watermark only ever counts follower state that survives a
+// crash. With fsync that is a wait for the fsync (ack-after-fsync ordering;
+// one wait covers a whole batched entries frame, riding the same
+// group-commit economics as the leader's fsync). Without fsync the entry was
+// flushed to the OS on append and the check returns at once, unless the
+// append failed, in which case it returns the log's sticky error. A follower
+// whose disk cannot keep its promise drops the stream instead of lying.
+func (n *Node) ack(conn *frameConn) {
 	applied := n.Applied()
-	if n.store != nil && n.store.Fsync() {
+	if n.store != nil {
 		if err := n.store.WaitDurable(applied, 4*n.cfg.ElectionTimeout); err != nil {
 			n.logf("durability wait before ack of %d: %v", applied, err)
+			// The log's error is sticky: pace the re-join loop this starts.
+			n.sleep(n.cfg.Heartbeat)
 			conn.Close()
 			return
 		}
 	}
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	enc.Encode(&frame{Type: frameAck, Applied: applied})
+	conn.send(&frame{Type: frameAck, Applied: applied})
 }
 
-// applySnapshot bootstraps the local database from the leader's snapshot and
-// adopts its term and membership view.
+// applySnapshot bootstraps the local database from the leader's snapshot.
+// The leader's term, identity and membership view, and the snapshot's index
+// as the applied index, are adopted in one critical section once the state
+// is restored. Until then the node reports its old term, leader and applied
+// index together: a deposed leader that took the new term before its
+// divergent state was replaced would look caught up while still serving the
+// history the cluster voted past.
 func (n *Node) applySnapshot(f frame) error {
-	if err := n.adoptView(f); err != nil {
-		return err
+	if cur := n.Term(); f.Term < cur {
+		return fmt.Errorf("replica: stale leader term %d < %d", f.Term, cur)
 	}
 	if err := n.db.Restore(bytes.NewReader(f.Snapshot)); err != nil {
 		return fmt.Errorf("replica: restoring snapshot: %w", err)
+	}
+	n.eng.SetLastLogged(f.SnapIndex)
+	n.mu.Lock()
+	if err := n.adoptViewLocked(f); err != nil {
+		n.mu.Unlock()
+		// A newer term arrived while restoring: local state no longer
+		// matches the applied index, so the next join must take a snapshot.
+		return fmt.Errorf("%w: %v", errApply, err)
 	}
 	// Unlike setApplied this may move the index backwards: a re-bootstrap
 	// after divergence replaces local state with the leader's authoritative
 	// snapshot wholesale, so the applied index must track it down too.
 	// WaitApplied callers are woken either way and simply re-block until the
 	// stream catches back up past their token.
-	n.mu.Lock()
 	n.applied = f.SnapIndex
 	n.lastProgress = time.Now()
 	close(n.appliedCh)
 	n.appliedCh = make(chan struct{})
 	n.mu.Unlock()
-	n.eng.SetLastLogged(f.SnapIndex)
 	// Reposition the watch hub's resume floor at the snapshot index: Restore
 	// already reseeded it, but with whatever stale high-water mark the engine
 	// held mid-bootstrap. Local watch subscribers were reset and will resync.
@@ -305,31 +311,19 @@ func (n *Node) applyEntriesFrame(f frame) (applied bool, err error) {
 	return applied, nil
 }
 
-// adoptView ingests the leader's term, membership and identity from a
-// snapshot or heartbeat frame, rejecting stale terms. The leader's ID is
-// shipped explicitly (LeaderID) so dead-leader filtering in elections never
-// has to fall back to address comparison: matching a membership entry by
-// ReplAddr alone fails whenever the advertised address differs from the one
-// in the peer list.
-func (n *Node) adoptView(f frame) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// adoptViewLocked ingests the leader's term, identity and membership from a
+// snapshot or heartbeat frame, rejecting stale terms. The frame carries the
+// leader's whole Peer, so dead-leader filtering in elections compares IDs,
+// never addresses.
+func (n *Node) adoptViewLocked(f frame) error {
 	if f.Term < n.term {
 		return fmt.Errorf("replica: stale leader term %d < %d", f.Term, n.term)
 	}
 	n.term = f.Term
-	n.leader = Peer{ID: f.LeaderID, ReplAddr: f.LeaderRepl, SvcAddr: f.LeaderSvc}
+	n.leader = f.Leader
 	peers := make(map[string]Peer, len(f.Peers)+1)
 	for _, p := range f.Peers {
 		peers[p.ID] = p
-		switch {
-		case f.LeaderID != "" && p.ID == f.LeaderID:
-			n.leader = p
-		case f.LeaderID == "" && p.ReplAddr == f.LeaderRepl:
-			// Legacy frame without an explicit leader ID: best-effort
-			// recovery by replication address.
-			n.leader = p
-		}
 	}
 	self := n.selfPeerLocked()
 	peers[self.ID] = self
@@ -430,8 +424,8 @@ func (n *Node) electOrPromote(deadAddr string) string {
 				if f.Role == RoleLeader {
 					return c.ReplAddr
 				}
-				if f.LeaderRepl != "" && f.LeaderRepl != deadAddr && f.LeaderRepl != c.ReplAddr && f.LeaderRepl != self.ReplAddr {
-					return f.LeaderRepl
+				if hint := f.Leader.ReplAddr; hint != "" && hint != deadAddr && hint != c.ReplAddr && hint != self.ReplAddr {
+					return hint
 				}
 			}
 			if !n.sleep(n.cfg.Heartbeat) {
@@ -512,8 +506,8 @@ func (n *Node) promoteGated(cands []Peer, deadAddr string) string {
 				// leave this node electing against a leader it can't join.
 				return c.ReplAddr
 			}
-			if f.LeaderRepl != "" && f.LeaderRepl != deadAddr && f.LeaderRepl != c.ReplAddr && f.LeaderRepl != self.ReplAddr {
-				return f.LeaderRepl
+			if hint := f.Leader.ReplAddr; hint != "" && hint != deadAddr && hint != c.ReplAddr && hint != self.ReplAddr {
+				return hint
 			}
 			if f.AppliedTerm > myAppliedTerm || (f.AppliedTerm == myAppliedTerm && f.Applied > myApplied) {
 				behind = true
@@ -594,23 +588,7 @@ func (n *Node) claimRound(peers []Peer, self Peer, maxTerm uint64, majority int)
 
 // claim sends one leadership claim to addr and returns the response status.
 func (n *Node) claim(addr string, f frame) (frame, bool) {
-	if addr == "" {
-		return frame{}, false
-	}
-	conn, err := n.dial(addr, n.cfg.ElectionTimeout/2)
-	if err != nil {
-		return frame{}, false
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	if err := gob.NewEncoder(conn).Encode(&f); err != nil {
-		return frame{}, false
-	}
-	var resp frame
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		return frame{}, false
-	}
-	return resp, true
+	return n.exchange(addr, &f)
 }
 
 // leaderHint probes the known membership for the current leader: the first
@@ -634,8 +612,8 @@ func (n *Node) leaderHint() string {
 		}
 		// A hint naming THIS node is a peer's stale memory of our old
 		// leadership — following it would mean dialing ourselves.
-		if f.LeaderRepl != "" && f.LeaderRepl != self.ReplAddr {
-			return f.LeaderRepl
+		if hint := f.Leader.ReplAddr; hint != "" && hint != self.ReplAddr {
+			return hint
 		}
 	}
 	return ""
@@ -646,24 +624,28 @@ func (n *Node) leaderHint() string {
 // feeds the election majority gate. The probe carries this node's identity
 // so a leader can count probes toward its majority lease.
 func (n *Node) probe(addr string) (frame, bool) {
-	if addr == "" {
-		return frame{}, false
-	}
-	conn, err := n.dial(addr, n.cfg.ElectionTimeout/2)
-	if err != nil {
-		return frame{}, false
-	}
-	defer conn.Close()
 	n.mu.Lock()
 	self := n.selfPeerLocked()
 	n.mu.Unlock()
-	conn.SetDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	if err := gob.NewEncoder(conn).Encode(&frame{Type: frameProbe, Peer: self}); err != nil {
+	return n.exchange(addr, &frame{Type: frameProbe, Peer: self})
+}
+
+// exchange sends req to addr on a fresh connection and returns the single
+// reply frame; ok is false when the node is unreachable or does not answer.
+func (n *Node) exchange(addr string, req *frame) (frame, bool) {
+	if addr == "" {
 		return frame{}, false
 	}
-	var f frame
-	if err := gob.NewDecoder(conn).Decode(&f); err != nil {
+	c, err := n.dial(addr, n.cfg.ElectionTimeout/2)
+	if err != nil {
 		return frame{}, false
 	}
-	return f, true
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(n.cfg.ElectionTimeout))
+	conn := newFrameConn(c)
+	var resp frame
+	if conn.send(req) != nil || conn.recv(&resp) != nil {
+		return frame{}, false
+	}
+	return resp, true
 }

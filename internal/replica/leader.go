@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"os"
@@ -16,13 +15,11 @@ import (
 // compaction still finds its entries and avoids a redundant re-bootstrap.
 const compactionFloor = 256
 
-// followerConn is the leader-side state of one connected follower. enc is
-// the connection's single gob encoder (gob streams must not mix encoders);
-// only the join/stream goroutine writes with it.
+// followerConn is the leader-side state of one connected follower. Only the
+// join/stream goroutine sends on conn; the ack reader receives.
 type followerConn struct {
 	peer  Peer
-	conn  net.Conn
-	enc   *gob.Encoder
+	conn  *frameConn
 	acked uint64 // highest applied index the follower acknowledged
 
 	// beatAt is the send time (unix nanos) of the heartbeat awaiting its
@@ -50,12 +47,11 @@ func (n *Node) acceptLoop() {
 // handleConn serves one inbound replication connection: a probe (answered
 // and closed) or a follower join (snapshot + entry stream until the
 // connection dies).
-func (n *Node) handleConn(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+func (n *Node) handleConn(c net.Conn) {
+	conn := newFrameConn(c)
 	conn.SetReadDeadline(time.Now().Add(n.cfg.ElectionTimeout))
 	var f frame
-	if err := dec.Decode(&f); err != nil {
+	if err := conn.recv(&f); err != nil {
 		return
 	}
 	switch f.Type {
@@ -66,16 +62,15 @@ func (n *Node) handleConn(conn net.Conn) {
 		n.mu.Lock()
 		st := frame{
 			Type: frameStatus, Term: n.term, Role: n.role,
-			Applied: n.applied, AppliedTerm: n.appliedTerm,
-			LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
+			Applied: n.applied, AppliedTerm: n.appliedTerm, Leader: n.leader,
 		}
 		n.mu.Unlock()
 		conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-		enc.Encode(&st)
+		conn.send(&st)
 	case frameClaim:
-		n.handleClaim(conn, enc, f)
+		n.handleClaim(conn, f)
 	case frameJoin:
-		n.handleJoin(conn, enc, dec, f)
+		n.handleJoin(conn, f)
 	}
 }
 
@@ -90,7 +85,7 @@ func (n *Node) handleConn(conn net.Conn) {
 // commit another write. A denial for a log the candidate cannot match keeps
 // the local term unchanged, leaving the term free for a better candidate to
 // claim.
-func (n *Node) handleClaim(conn net.Conn, enc *gob.Encoder, claim frame) {
+func (n *Node) handleClaim(conn *frameConn, claim frame) {
 	n.touchPeer(claim.Peer.ID)
 	n.mu.Lock()
 	logOK := claim.AppliedTerm > n.appliedTerm ||
@@ -118,7 +113,7 @@ func (n *Node) handleClaim(conn net.Conn, enc *gob.Encoder, claim frame) {
 	resp := frame{
 		Type: frameStatus, Term: n.term, Role: n.role,
 		Applied: n.applied, AppliedTerm: n.appliedTerm, Granted: grant,
-		LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
+		Leader: n.leader,
 	}
 	n.mu.Unlock()
 	if grant {
@@ -132,10 +127,10 @@ func (n *Node) handleClaim(conn net.Conn, enc *gob.Encoder, claim frame) {
 		n.logf("granted leadership claim for term %d to %s", claim.Term, claim.Peer.ID)
 	}
 	conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-	enc.Encode(&resp)
+	conn.send(&resp)
 }
 
-func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, join frame) {
+func (n *Node) handleJoin(conn *frameConn, join frame) {
 	n.mu.Lock()
 	if !n.closed && n.role == RoleLeader && join.Term > n.term {
 		// A joiner above our term means the cluster has voted past this
@@ -156,23 +151,20 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 			finish(fmt.Sprintf("superseded: join from %s carries term %d", join.Peer.ID, join.Term))
 		}
 		conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-		enc.Encode(&resp)
+		conn.send(&resp)
 		return
 	}
 	if n.closed || n.role != RoleLeader {
-		resp := frame{
-			Type: frameNotLeader, Term: n.term,
-			LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
-		}
+		resp := frame{Type: frameNotLeader, Term: n.term, Leader: n.leader}
 		if n.leader.ID == join.Peer.ID {
 			// Our leader memory names the joiner itself — its old leadership,
 			// now stale (it is knocking as a follower). Pointing it at itself
 			// would send it chasing its own address.
-			resp.LeaderID, resp.LeaderRepl, resp.LeaderSvc = "", "", ""
+			resp.Leader = Peer{}
 		}
 		n.mu.Unlock()
 		conn.SetWriteDeadline(time.Now().Add(n.cfg.ElectionTimeout))
-		enc.Encode(&resp)
+		conn.send(&resp)
 		return
 	}
 	if _, known := n.peers[join.Peer.ID]; !known {
@@ -240,7 +232,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 		}
 	}
 
-	fol := &followerConn{peer: join.Peer, conn: conn, enc: enc, acked: startIdx}
+	fol := &followerConn{peer: join.Peer, conn: conn, acked: startIdx}
 	n.mu.Lock()
 	if n.closed || n.role != RoleLeader {
 		n.mu.Unlock()
@@ -253,8 +245,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 	hello := frame{
 		Type: frameSnapshot, Term: n.term, Role: RoleLeader,
 		Snapshot: snap, SnapIndex: startIdx, Applied: n.applied,
-		Peers:    n.peerListLocked(),
-		LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
+		Peers: n.peerListLocked(), Leader: n.leader,
 	}
 	if resume {
 		hello.Type = frameHeartbeat
@@ -266,7 +257,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 	// Snapshot transfer gets its own generous deadline, decoupled from the
 	// failure-detection timings (see snapshotTimeout).
 	conn.SetWriteDeadline(time.Now().Add(n.snapshotTimeout()))
-	if err := enc.Encode(&hello); err != nil {
+	if err := conn.send(&hello); err != nil {
 		return
 	}
 	if resume {
@@ -288,7 +279,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 		}
 		batch := diskTail[start:end]
 		fol.conn.SetWriteDeadline(time.Now().Add(n.snapshotTimeout()))
-		if err := gobSend(fol, frame{Type: frameEntries, Term: term, Entries: batch, Committed: w.Committed()}); err != nil {
+		if err := fol.conn.send(&frame{Type: frameEntries, Term: term, Entries: batch, Committed: w.Committed()}); err != nil {
 			return
 		}
 		n.met.batchEntries.Observe(float64(len(batch)))
@@ -309,7 +300,7 @@ func (n *Node) handleJoin(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, joi
 			conn.SetReadDeadline(time.Now().Add(ackDeadline))
 			ackDeadline = 4 * n.cfg.ElectionTimeout
 			var ack frame
-			if err := dec.Decode(&ack); err != nil {
+			if err := conn.recv(&ack); err != nil {
 				return
 			}
 			if ack.Type != frameAck {
@@ -399,7 +390,7 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, from uint64) {
 				}
 				batch := entries[start:end]
 				fol.conn.SetWriteDeadline(time.Now().Add(2 * n.cfg.ElectionTimeout))
-				if err := gobSend(fol, frame{Type: frameEntries, Term: term, Entries: batch, Committed: w.Committed()}); err != nil {
+				if err := fol.conn.send(&frame{Type: frameEntries, Term: term, Entries: batch, Committed: w.Committed()}); err != nil {
 					return
 				}
 				n.met.batchEntries.Observe(float64(len(batch)))
@@ -437,24 +428,17 @@ func (n *Node) streamTo(fol *followerConn, w *minisql.WAL, from uint64) {
 			n.mu.Lock()
 			hb := frame{
 				Type: frameHeartbeat, Term: n.term, Role: n.role, Applied: n.applied,
-				Peers:    n.peerListLocked(),
-				LeaderID: n.leader.ID, LeaderRepl: n.leader.ReplAddr, LeaderSvc: n.leader.SvcAddr,
+				Peers: n.peerListLocked(), Leader: n.leader,
 			}
 			n.mu.Unlock()
 			hb.Committed = w.Committed()
 			fol.conn.SetWriteDeadline(time.Now().Add(2 * n.cfg.ElectionTimeout))
-			if err := gobSend(fol, hb); err != nil {
+			if err := fol.conn.send(&hb); err != nil {
 				return
 			}
 			fol.beatAt.CompareAndSwap(0, time.Now().UnixNano())
 		}
 	}
-}
-
-// gobSend encodes one frame on the follower's connection. Each followerConn
-// has a single sender goroutine, so no write lock is needed.
-func gobSend(fol *followerConn, f frame) error {
-	return fol.enc.Encode(&f)
 }
 
 func (n *Node) dropFollower(id string, fol *followerConn) {

@@ -117,10 +117,6 @@ func (n *Node) noteLeaderFrame(f frame) {
 		if k := len(f.Entries); k > 0 && f.Entries[k-1].Index > est {
 			est = f.Entries[k-1].Index
 		}
-	case frameEntry:
-		if f.Entry.Index > est {
-			est = f.Entry.Index
-		}
 	}
 	n.leaderApplied = est
 	n.mu.Unlock()

@@ -1,8 +1,13 @@
 package replica
 
 import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"net"
 	"sort"
 
+	"osprey/internal/codec"
 	"osprey/internal/minisql"
 )
 
@@ -70,9 +75,6 @@ const (
 	// frameSnapshot: leader -> follower. Full database snapshot at SnapIndex;
 	// subsequent entries continue from there.
 	frameSnapshot
-	// frameEntry: leader -> follower. One committed log entry. Retained for
-	// compatibility; the leader now ships frameEntries batches.
-	frameEntry
 	// frameHeartbeat: leader -> follower. Liveness plus current term and
 	// membership, sent when no entries are flowing.
 	frameHeartbeat
@@ -98,8 +100,8 @@ const (
 	frameClaim
 )
 
-// frame is the single wire message of the replication protocol, gob-encoded
-// over the TCP log-shipping connection. Field use depends on Type.
+// frame is the single wire message of the replication protocol (encoding
+// below). Field use depends on Type.
 type frame struct {
 	Type frameType
 	Term uint64
@@ -108,22 +110,15 @@ type frame struct {
 	Peer Peer
 	From uint64 // joiner's applied index
 
-	// frameStatus / frameNotLeader / frameSnapshot / frameHeartbeat.
-	// LeaderID names the leader explicitly so followers recover the full
-	// leader Peer even when its advertised address does not match any
-	// membership entry's ReplAddr.
-	Role       Role
-	LeaderID   string
-	LeaderRepl string
-	LeaderSvc  string
-	Peers      []Peer
+	// frameStatus / frameNotLeader / frameSnapshot / frameHeartbeat: the
+	// sender's role and the leader it knows of (zero when none).
+	Role   Role
+	Leader Peer
+	Peers  []Peer
 
 	// frameSnapshot
 	Snapshot  []byte
 	SnapIndex uint64
-
-	// frameEntry
-	Entry minisql.LogEntry
 
 	// frameEntries: consecutive entries, ascending index
 	Entries []minisql.LogEntry
@@ -136,8 +131,8 @@ type frame struct {
 	// Followers gate their watch-hub publication on it, so subscribers on
 	// any node only ever see transitions the cluster has durably committed
 	// (an applied-but-unacked entry can still be rolled back). Zero in
-	// frames from builds or roles that do not ship it — a no-op for the
-	// receiver's gate.
+	// frames from roles that do not ship it — a no-op for the receiver's
+	// gate.
 	Committed uint64
 
 	// frameJoin / frameClaim / frameStatus: the term of the leadership that
@@ -149,4 +144,148 @@ type frame struct {
 
 	// frameStatus reply to frameClaim: the receiver adopted the claimed term.
 	Granted bool
+}
+
+// Frame encoding. Every message on a replication connection is one codec
+// frame (uvarint length, then the message) of at most maxFrameBytes: the
+// byte frameMagic, then every field whatever the type,
+//
+//	type | term | peer | from | role | leader | peers | snapshot |
+//	snapIndex | entries | applied | committed | appliedTerm | granted
+//
+// Type is one byte, integers are uvarints (role and priority zigzag), a
+// Peer is id | priority | replAddr | svcAddr, peers and entries are a count
+// then the elements, an entry is the disk log's payload encoding
+// (minisql.AppendEntry), and the snapshot is length-prefixed opaque bytes.
+// The magic makes a peer speaking any other encoding fail its first frame.
+const (
+	frameMagic = 0xD7
+	// maxFrameBytes bounds one frame, snapshots included.
+	maxFrameBytes = 1 << 30
+	// keepBufBytes caps the buffers a connection keeps between frames, so a
+	// snapshot-sized buffer is not held for the connection's lifetime.
+	keepBufBytes = 1 << 20
+)
+
+func appendPeer(buf []byte, p *Peer) []byte {
+	buf = codec.AppendString(buf, p.ID)
+	buf = binary.AppendVarint(buf, int64(p.Priority))
+	buf = codec.AppendString(buf, p.ReplAddr)
+	return codec.AppendString(buf, p.SvcAddr)
+}
+
+func decodePeer(d *codec.Dec, p *Peer) {
+	p.ID = d.Str()
+	p.Priority = int(d.Varint())
+	p.ReplAddr = d.Str()
+	p.SvcAddr = d.Str()
+}
+
+func appendFrame(buf []byte, f *frame) []byte {
+	buf = append(buf, frameMagic, byte(f.Type))
+	buf = binary.AppendUvarint(buf, f.Term)
+	buf = appendPeer(buf, &f.Peer)
+	buf = binary.AppendUvarint(buf, f.From)
+	buf = binary.AppendVarint(buf, int64(f.Role))
+	buf = appendPeer(buf, &f.Leader)
+	buf = binary.AppendUvarint(buf, uint64(len(f.Peers)))
+	for i := range f.Peers {
+		buf = appendPeer(buf, &f.Peers[i])
+	}
+	buf = codec.AppendBytes(buf, f.Snapshot)
+	buf = binary.AppendUvarint(buf, f.SnapIndex)
+	buf = binary.AppendUvarint(buf, uint64(len(f.Entries)))
+	for _, e := range f.Entries {
+		buf = minisql.AppendEntry(buf, e)
+	}
+	buf = binary.AppendUvarint(buf, f.Applied)
+	buf = binary.AppendUvarint(buf, f.Committed)
+	buf = binary.AppendUvarint(buf, f.AppliedTerm)
+	return codec.AppendBool(buf, f.Granted)
+}
+
+var errBadFrame = errors.New("replica: malformed frame")
+
+// decodeFrame decodes one whole message into f. f.Snapshot aliases the
+// message buffer.
+func decodeFrame(d *codec.Dec, f *frame) error {
+	if d.Byte() != frameMagic {
+		return errBadFrame
+	}
+	f.Type = frameType(d.Byte())
+	f.Term = d.Uvarint()
+	decodePeer(d, &f.Peer)
+	f.From = d.Uvarint()
+	f.Role = Role(d.Varint())
+	decodePeer(d, &f.Leader)
+	if n := d.Count(); n > 0 {
+		f.Peers = make([]Peer, n)
+		for i := range f.Peers {
+			decodePeer(d, &f.Peers[i])
+		}
+	}
+	f.Snapshot = d.Bytes()
+	f.SnapIndex = d.Uvarint()
+	if n := d.Count(); n > 0 {
+		f.Entries = make([]minisql.LogEntry, n)
+		for i := range f.Entries {
+			f.Entries[i] = minisql.DecodeEntry(d)
+		}
+	}
+	f.Applied = d.Uvarint()
+	f.Committed = d.Uvarint()
+	f.AppliedTerm = d.Uvarint()
+	f.Granted = d.Bool()
+	if !d.Done() {
+		return errBadFrame
+	}
+	return nil
+}
+
+// frameConn is one replication connection: frames are encoded into a
+// reusable buffer, written through a buffered writer and flushed once per
+// frame, and read back through a buffered reader into a reusable buffer.
+// One goroutine may send while another receives; two senders (or two
+// receivers) must not share it.
+type frameConn struct {
+	net.Conn
+	r   *bufio.Reader
+	w   *bufio.Writer
+	enc []byte
+	buf []byte
+}
+
+func newFrameConn(c net.Conn) *frameConn {
+	return &frameConn{Conn: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
+}
+
+// send writes f as one frame and flushes it.
+func (c *frameConn) send(f *frame) error {
+	c.enc = appendFrame(c.enc[:0], f)
+	err := codec.WriteFrame(c.w, c.enc)
+	if err == nil {
+		err = c.w.Flush()
+	}
+	if cap(c.enc) > keepBufBytes {
+		c.enc = nil
+	}
+	return err
+}
+
+// recv reads the next frame into f, which it resets first.
+func (c *frameConn) recv(f *frame) error {
+	buf, err := codec.ReadFrame(c.r, c.buf, maxFrameBytes)
+	c.buf = buf
+	if err != nil {
+		return err
+	}
+	*f = frame{}
+	var d codec.Dec
+	d.Reset(buf)
+	err = decodeFrame(&d, f)
+	if f.Snapshot != nil || cap(c.buf) > keepBufBytes {
+		// The snapshot aliases the buffer: hand the buffer over with it.
+		c.buf = nil
+	}
+	return err
 }

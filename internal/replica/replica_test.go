@@ -2,7 +2,6 @@ package replica
 
 import (
 	"context"
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -150,11 +149,12 @@ func dialJoin(t *testing.T, addr string, join frame) frame {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(waitMax))
-	if err := gob.NewEncoder(conn).Encode(&join); err != nil {
+	fc := newFrameConn(conn)
+	if err := fc.send(&join); err != nil {
 		t.Fatal(err)
 	}
 	var reply frame
-	if err := gob.NewDecoder(conn).Decode(&reply); err != nil {
+	if err := fc.recv(&reply); err != nil {
 		t.Fatal(err)
 	}
 	return reply
@@ -257,11 +257,10 @@ func TestPromotionRankViewLost(t *testing.T) {
 	}
 }
 
-// TestAdoptViewLeaderID: the leader's identity ships explicitly in every
-// view frame, so a follower recovers the full leader Peer (ID included) even
-// when no membership entry's ReplAddr matches the advertised LeaderRepl.
-// Without the ID, dead-leader filtering in elections degrades to address
-// comparison.
+// TestAdoptViewLeaderID: the leader's whole Peer ships in every view frame,
+// so a follower adopts it (ID included) even when no membership entry's
+// ReplAddr matches the advertised one. Without the ID, dead-leader filtering
+// in elections degrades to address comparison.
 func TestAdoptViewLeaderID(t *testing.T) {
 	n, err := New(Config{ID: "f1", Join: "203.0.113.1:1"})
 	if err != nil {
@@ -269,9 +268,10 @@ func TestAdoptViewLeaderID(t *testing.T) {
 	}
 	defer n.Close()
 
-	err = n.adoptView(frame{
-		Term:     7,
-		LeaderID: "lead", LeaderRepl: "198.51.100.2:7700", LeaderSvc: "svc-lead",
+	n.mu.Lock()
+	err = n.adoptViewLocked(frame{
+		Term:   7,
+		Leader: Peer{ID: "lead", Priority: 9, ReplAddr: "198.51.100.2:7700", SvcAddr: "svc-lead"},
 		Peers: []Peer{
 			// The membership entry carries a different ReplAddr than the
 			// advertised one — address matching would miss it.
@@ -279,6 +279,7 @@ func TestAdoptViewLeaderID(t *testing.T) {
 			{ID: "f1", Priority: 1, ReplAddr: "10.0.0.3:7700"},
 		},
 	})
+	n.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +289,8 @@ func TestAdoptViewLeaderID(t *testing.T) {
 	n.mu.Lock()
 	leader := n.leader
 	n.mu.Unlock()
-	if leader.Priority != 9 {
-		t.Fatalf("adopted leader peer = %+v, want the full membership entry", leader)
+	if leader.Priority != 9 || leader.ReplAddr != "198.51.100.2:7700" || leader.SvcAddr != "svc-lead" {
+		t.Fatalf("adopted leader peer = %+v, want the frame's leader peer", leader)
 	}
 }
 
@@ -300,12 +301,12 @@ func TestLeaderIDInFrames(t *testing.T) {
 	defer leader.Close()
 	peer := Peer{ID: "probe", Priority: 0, ReplAddr: "127.0.0.1:1"}
 	hello := dialJoin(t, leader.Addr(), frame{Type: frameJoin, Peer: peer, Term: 1, From: 0})
-	if hello.LeaderID != "idl" {
-		t.Fatalf("join hello LeaderID = %q, want %q", hello.LeaderID, "idl")
+	if hello.Leader.ID != "idl" || hello.Leader.ReplAddr != leader.Addr() {
+		t.Fatalf("join hello Leader = %+v, want idl at %s", hello.Leader, leader.Addr())
 	}
 	status := dialJoin(t, leader.Addr(), frame{Type: frameProbe, Peer: peer})
-	if status.LeaderID != "idl" {
-		t.Fatalf("probe status LeaderID = %q, want %q", status.LeaderID, "idl")
+	if status.Leader.ID != "idl" || status.Leader.ReplAddr != leader.Addr() {
+		t.Fatalf("probe status Leader = %+v, want idl at %s", status.Leader, leader.Addr())
 	}
 }
 
@@ -402,5 +403,60 @@ func TestQuorumWriteBlocksWithoutFollowers(t *testing.T) {
 	}
 	if got := n.Committed(); got != n.Applied() {
 		t.Fatalf("Committed = %d, want %d", got, n.Applied())
+	}
+}
+
+// TestSnapshotInstallAdoptsViewWithState: a follower takes the leader's
+// term and identity, and the snapshot index as its applied index, together
+// with the restored state. A snapshot that fails to restore leaves all three
+// as they were: a node that announced the new term and leader beside its old
+// applied index would look caught up while its state is still the history
+// the cluster voted past.
+func TestSnapshotInstallAdoptsViewWithState(t *testing.T) {
+	src := newNode(t, "src", 3, "")
+	defer src.Close()
+	submitN(t, src.DB(), 4)
+	src.mu.Lock()
+	w := src.wal
+	src.mu.Unlock()
+	snap, idx, err := src.snapshotAt(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	n, err := New(Config{ID: "f1", Join: "203.0.113.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.mu.Lock()
+	n.term, n.applied, n.leader = 2, idx, Peer{ID: "old"}
+	n.mu.Unlock()
+
+	lead := Peer{ID: "lead", Priority: 9, ReplAddr: "198.51.100.2:7700", SvcAddr: "svc-lead"}
+	bad := frame{Type: frameSnapshot, Term: 3, Leader: lead, Snapshot: []byte("not a snapshot"), SnapIndex: idx}
+	if err := n.applySnapshot(bad); err == nil {
+		t.Fatal("applySnapshot accepted an unreadable snapshot")
+	}
+	if n.Term() != 2 || n.LeaderID() != "old" || n.Applied() != idx {
+		t.Fatalf("after a failed restore: term %d leader %q applied %d, want 2 %q %d unchanged",
+			n.Term(), n.LeaderID(), n.Applied(), "old", idx)
+	}
+
+	good := bad
+	good.Snapshot = snap
+	if err := n.applySnapshot(good); err != nil {
+		t.Fatal(err)
+	}
+	if n.Term() != 3 || n.LeaderID() != "lead" || n.Applied() != idx {
+		t.Fatalf("after the restore: term %d leader %q applied %d, want 3 %q %d",
+			n.Term(), n.LeaderID(), n.Applied(), "lead", idx)
+	}
+	counts, err := n.DB().Counts(context.Background(), "exp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts[core.StatusQueued] != 4 {
+		t.Fatalf("restored state holds %v, want 4 queued", counts)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"osprey/internal/codec"
 	"osprey/internal/core"
 	"osprey/internal/obs"
 	"osprey/internal/replica"
@@ -272,9 +273,9 @@ const maxLine = 64 << 20 // per-message bound; payloads are JSON strings
 // handle negotiates the connection's protocol version off its first byte —
 // the only negotiation the protocol has, chosen so it costs nothing on
 // established connections. A v2 client leads with the wireMagic byte (never
-// a valid JSON start); anything else is served by the legacy
-// newline-delimited JSON loop, which is what keeps pre-v2 clients working
-// across a rolling upgrade with zero configuration.
+// a valid JSON start); anything else is served by the newline-delimited JSON
+// loop, the language-neutral protocol for clients that are not written in Go
+// (the paper's EQSQL clients are Python).
 func (s *Server) handle(conn net.Conn) {
 	peer := conn.RemoteAddr().String()
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -301,7 +302,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.handleV2(conn, br, peer)
 }
 
-// handleV1 serves one legacy JSON connection with a single reused JSON
+// handleV1 serves one JSON connection with a single reused JSON
 // decoder/encoder pair over buffered I/O: the per-request Unmarshal/Marshal
 // allocations and the unbuffered per-response write syscall were measurable
 // on the submit hot path. json.Encoder terminates every value with '\n', so
@@ -432,7 +433,7 @@ func (s *Server) handleV2(conn net.Conn, br *bufio.Reader, peer string) {
 			var netErr net.Error
 			switch {
 			case s.isClosed(), errors.Is(err, net.ErrClosed):
-			case errors.Is(err, errTruncated), errors.Is(err, errFrameTooBig):
+			case errors.Is(err, codec.ErrCorrupt), errors.Is(err, codec.ErrTooBig):
 				// Includes a peer dying mid-frame (wrapped unexpected EOF):
 				// either way the stream is unrecoverable and counted.
 				s.met.malformed.Inc()

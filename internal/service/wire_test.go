@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"osprey/internal/codec"
 	"osprey/internal/core"
 )
 
@@ -63,14 +64,14 @@ func TestWireFieldCoverage(t *testing.T) {
 	var req request
 	fillValue(reflect.ValueOf(&req).Elem(), 0)
 	buf := appendRequest(nil, &req)
-	var dec wireDec
-	dec.reset(buf)
+	var dec codec.Dec
+	dec.Reset(buf)
 	var got request
-	if err := dec.decodeRequest(&got); err != nil {
+	if err := decodeRequest(&dec, &got); err != nil {
 		t.Fatalf("decodeRequest: %v", err)
 	}
-	if dec.pos != len(buf) {
-		t.Fatalf("decodeRequest left %d trailing bytes", len(buf)-dec.pos)
+	if !dec.Done() {
+		t.Fatal("decodeRequest left trailing bytes")
 	}
 	rv, gv := reflect.ValueOf(req), reflect.ValueOf(got)
 	for i := 0; i < rv.NumField(); i++ {
@@ -83,13 +84,13 @@ func TestWireFieldCoverage(t *testing.T) {
 	var resp response
 	fillValue(reflect.ValueOf(&resp).Elem(), 100)
 	buf = appendResponse(nil, &resp)
-	dec.reset(buf)
+	dec.Reset(buf)
 	var gotR response
-	if err := dec.decodeResponse(&gotR); err != nil {
+	if err := decodeResponse(&dec, &gotR); err != nil {
 		t.Fatalf("decodeResponse: %v", err)
 	}
-	if dec.pos != len(buf) {
-		t.Fatalf("decodeResponse left %d trailing bytes", len(buf)-dec.pos)
+	if !dec.Done() {
+		t.Fatal("decodeResponse left trailing bytes")
 	}
 	rv, gv = reflect.ValueOf(resp), reflect.ValueOf(gotR)
 	for i := 0; i < rv.NumField(); i++ {
@@ -103,18 +104,18 @@ func TestWireFieldCoverage(t *testing.T) {
 // TestWireZeroValuesRoundTrip pins the canonical-zero contract: zero structs
 // survive as zero (nil slices stay nil, nil maps stay nil).
 func TestWireZeroValuesRoundTrip(t *testing.T) {
-	var dec wireDec
-	dec.reset(appendRequest(nil, &request{}))
+	var dec codec.Dec
+	dec.Reset(appendRequest(nil, &request{}))
 	var req request
-	if err := dec.decodeRequest(&req); err != nil {
+	if err := decodeRequest(&dec, &req); err != nil {
 		t.Fatalf("decodeRequest: %v", err)
 	}
 	if !reflect.DeepEqual(req, request{}) {
 		t.Fatalf("zero request round trip = %+v", req)
 	}
-	dec.reset(appendResponse(nil, &response{}))
+	dec.Reset(appendResponse(nil, &response{}))
 	var resp response
-	if err := dec.decodeResponse(&resp); err != nil {
+	if err := decodeResponse(&dec, &resp); err != nil {
 		t.Fatalf("decodeResponse: %v", err)
 	}
 	if !reflect.DeepEqual(resp, response{}) {
@@ -135,7 +136,7 @@ func TestWireDecodeNeverPanics(t *testing.T) {
 	full := appendRequest(nil, &req)
 	// The v4 request tail is Watch then SubID; cuts at either field boundary
 	// decode as an older writer with the rest defaulted.
-	watchLen := len(appendString(nil, req.Watch))
+	watchLen := len(codec.AppendString(nil, req.Watch))
 	subIDLen := len(binary.AppendUvarint(nil, req.SubID))
 	reqCuts := map[int]request{}
 	{
@@ -146,11 +147,11 @@ func TestWireDecodeNeverPanics(t *testing.T) {
 		atWatch.SubID = 0
 		reqCuts[len(full)-subIDLen] = atWatch
 	}
-	var dec wireDec
+	var dec codec.Dec
 	for i := 0; i < len(full); i++ {
-		dec.reset(full[:i])
+		dec.Reset(full[:i])
 		var r request
-		err := dec.decodeRequest(&r)
+		err := decodeRequest(&dec, &r)
 		if want, ok := reqCuts[i]; ok {
 			if err != nil {
 				t.Fatalf("decodeRequest rejected older-version-length message at %d: %v", i, err)
@@ -187,9 +188,9 @@ func TestWireDecodeNeverPanics(t *testing.T) {
 		respCuts[countStart] = atDone
 	}
 	for i := 0; i < len(fullR); i++ {
-		dec.reset(fullR[:i])
+		dec.Reset(fullR[:i])
 		var r response
-		err := dec.decodeResponse(&r)
+		err := decodeResponse(&dec, &r)
 		if want, ok := respCuts[i]; ok {
 			if err != nil {
 				t.Fatalf("decodeResponse rejected older-version-length message at %d: %v", i, err)
@@ -208,9 +209,9 @@ func TestWireDecodeNeverPanics(t *testing.T) {
 	}
 	// A length prefix pointing past the buffer must not drive a huge
 	// allocation or an out-of-bounds read.
-	dec.reset([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	dec.Reset([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	var r request
-	if err := dec.decodeRequest(&r); err == nil {
+	if err := decodeRequest(&dec, &r); err == nil {
 		t.Fatal("decodeRequest accepted an over-long length prefix")
 	}
 }
@@ -229,27 +230,27 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var dec wireDec
-		dec.reset(data)
+		var dec codec.Dec
+		dec.Reset(data)
 		var q request
-		if err := dec.decodeRequest(&q); err == nil {
+		if err := decodeRequest(&dec, &q); err == nil {
 			re := appendRequest(nil, &q)
-			dec.reset(re)
+			dec.Reset(re)
 			var q2 request
-			if err := dec.decodeRequest(&q2); err != nil {
+			if err := decodeRequest(&dec, &q2); err != nil {
 				t.Fatalf("re-decode of re-encoded request failed: %v", err)
 			}
 			if !reflect.DeepEqual(q, q2) {
 				t.Fatalf("request not canonical: %+v != %+v", q, q2)
 			}
 		}
-		dec.reset(data)
+		dec.Reset(data)
 		var p response
-		if err := dec.decodeResponse(&p); err == nil {
+		if err := decodeResponse(&dec, &p); err == nil {
 			re := appendResponse(nil, &p)
-			dec.reset(re)
+			dec.Reset(re)
 			var p2 response
-			if err := dec.decodeResponse(&p2); err != nil {
+			if err := decodeResponse(&dec, &p2); err != nil {
 				t.Fatalf("re-decode of re-encoded response failed: %v", err)
 			}
 			if !reflect.DeepEqual(p, p2) {
