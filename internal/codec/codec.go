@@ -256,17 +256,17 @@ func WriteFrame(w *bufio.Writer, body []byte) error {
 // readChunk is how much of a frame ReadFrame reads per allocation step.
 const readChunk = 1 << 20
 
-// ReadFrame reads one frame of at most max bytes from r into buf's storage.
-// A length above max is ErrTooBig, a stream ending mid-frame ErrCorrupt, an
+// ReadFrame reads one frame of at most limit bytes from r into buf's storage.
+// A length above limit is ErrTooBig, a stream ending mid-frame ErrCorrupt, an
 // EOF before the length a clean end of stream. The buffer grows with the
 // bytes that arrive, so a hostile length prefix cannot force an allocation
 // much beyond what its sender really sent.
-func ReadFrame(r *bufio.Reader, buf []byte, max uint64) ([]byte, error) {
+func ReadFrame(r *bufio.Reader, buf []byte, limit uint64) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return buf[:0], err
 	}
-	if n > max {
+	if n > limit {
 		return buf[:0], ErrTooBig
 	}
 	buf = buf[:0]

@@ -27,9 +27,8 @@ package service
 // reflection, using the primitives of internal/codec: varints for ints
 // (zigzag for signed), a uvarint count followed by elements for
 // strings/slices/maps, one byte for bools, 8 fixed little-endian bytes for
-// float64s. Every field of the struct is always
-// written — zero values cost one byte — so the decoder is a straight-line
-// field reader. Evolution rule: new fields append at the end of the message
+// float64s. Every field of the struct is always written — zero values cost
+// one byte — so the decoder is a straight-line field reader. Evolution rule: new fields append at the end of the message
 // and bump wireVersion; the decoder rejects versions newer than its own at
 // the preamble, and a decode that runs out of bytes mid-message fails loudly
 // rather than guessing (TestWireFieldCoverage pins that every struct field
